@@ -45,7 +45,7 @@ func benchBackendPreact(b *testing.B, name string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Reset()
-		be.BatchLSTMPreact(&ws, z, x, wx, h, wh, bias)
+		be.LSTMPreact(&ws, z, x, wx, h, wh, bias)
 	}
 }
 

@@ -1,12 +1,13 @@
 package head_test
 
 // Benchmarks of the batched execution engine (internal/batch and the
-// *Batch forwards underneath it). Each benchmark processes batchEnvs
-// environments per op, so per-env cost is ns/op ÷ batchEnvs; CI's
-// bench-batch job divides accordingly (benchcheck -speedup) and enforces
-// the ≥2× per-env win over the serial benchmarks in alloc_bench_test.go.
-// Steady state must stay allocation-free: all batch-shaped intermediates
-// come from the same workspace arenas as the serial passes.
+// PredictBatch/SelectActionBatch entry points underneath it). Each
+// benchmark processes batchEnvs environments per op, so per-env cost is
+// ns/op ÷ batchEnvs; CI's bench-batch job divides accordingly (benchcheck
+// -speedup) and compares against the batch-of-one benchmarks in
+// alloc_bench_test.go. Steady state must stay allocation-free: all
+// batch-shaped intermediates come from the same workspace arenas as the
+// batch-of-one passes.
 
 import (
 	"math/rand"
@@ -21,7 +22,7 @@ import (
 const batchEnvs = 8
 
 // BenchmarkLSTGATForwardBatch times one batched LST-GAT prediction over
-// eight graphs — the call that replaces eight serial Predicts in the
+// eight graphs — the call that replaces eight one-graph Predicts in the
 // lock-step environment runner.
 func BenchmarkLSTGATForwardBatch(b *testing.B) {
 	ds, model := benchPredictor(11)
@@ -58,8 +59,8 @@ func BenchmarkBPDQNSelectActionBatch(b *testing.B) {
 }
 
 // BenchmarkTrainStepPrefetch times one BP-DQN training step with the
-// double-buffered replay prefetch pipeline and batched target-network
-// evaluation enabled (batch-envs > 1 on the training side). The replay
+// double-buffered replay prefetch pipeline enabled (batch-envs > 1 on the
+// training side). The replay
 // buffer is pre-filled so every Observe triggers a gradient step.
 func BenchmarkTrainStepPrefetch(b *testing.B) {
 	env := newBenchEnv(14)

@@ -11,7 +11,7 @@ import (
 const sampleOutput = `goos: linux
 goarch: amd64
 BenchmarkLSTGATForward-4            	     200	    150000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkLSTGATForwardBatch-4       	     100	    800000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLSTGATPredictBatch-4       	     100	    800000 ns/op	       0 B/op	       0 allocs/op
 BenchmarkBPDQNSelectActionBatch-4   	     100	     90000 ns/op	       0 B/op	       0 allocs/op
 PASS
 `
@@ -27,7 +27,7 @@ func TestParse(t *testing.T) {
 	if rows[0].Name != "LSTGATForward" || rows[0].NsPerOp != 150000 || rows[0].AllocsPerOp != 0 {
 		t.Errorf("row 0 = %+v", rows[0])
 	}
-	if rows[1].Name != "LSTGATForwardBatch" {
+	if rows[1].Name != "LSTGATPredictBatch" {
 		t.Errorf("cpu suffix not stripped: %q", rows[1].Name)
 	}
 }
@@ -58,7 +58,7 @@ func TestSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := speedup(rows, "LSTGATForward", "LSTGATForwardBatch", 8, 1.2)
+	sp, err := speedup(rows, "LSTGATForward", "LSTGATPredictBatch", 8, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSpeedup(t *testing.T) {
 	if math.Abs(sp.PerEnvNs-100000) > 1e-9 || math.Abs(sp.Ratio-1.5) > 1e-9 {
 		t.Errorf("speedup = %+v", sp)
 	}
-	if _, err := speedup(rows, "Nope", "LSTGATForwardBatch", 8, 1.2); err == nil {
+	if _, err := speedup(rows, "Nope", "LSTGATPredictBatch", 8, 1.2); err == nil {
 		t.Error("missing serial benchmark not rejected")
 	}
 	if _, err := speedup(rows, "LSTGATForward", "Nope", 8, 1.2); err == nil {

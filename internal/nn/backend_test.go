@@ -26,8 +26,9 @@ func relErr(got, want *tensor.Matrix) float64 {
 
 // TestBackendForwardParity runs the same Linear/LSTM/GAT weights under
 // both backends: the f64 forward must be bit-identical to a never-touched
-// layer (SetBackend(F64) is a no-op), and the f32 forward must track it to
-// float32-level relative error in both serial and batch form.
+// layer (SetBackend(F64) is a no-op), the f32 forward must track it to
+// float32-level relative error, and row e of a multi-row f32 forward must
+// equal the one-row f32 forward of row e.
 func TestBackendForwardParity(t *testing.T) {
 	const rtol = 1e-4
 	rng := rand.New(rand.NewSource(31))
@@ -48,16 +49,11 @@ func TestBackendForwardParity(t *testing.T) {
 	if e := relErr(got32, want); e == 0 || e > rtol {
 		t.Fatalf("Linear: f32 forward rel err %g (want nonzero and < %g)", e, rtol)
 	}
-	batch32 := f32l.ForwardBatch(x)
-	serial32 := tensor.New(6, 8)
-	copy(serial32.Data, got32.Data)
-	// Recompute serial f32 after the batch pass (workspace reuse) and
-	// compare: serial and batch f32 Linear forwards share one kernel.
-	if again := f32l.Forward(x); !tensor.Equal(again, batch32, 0) {
-		t.Fatal("Linear: f32 serial and batch forwards disagree")
-	}
-	if !tensor.Equal(batch32, serial32, 0) {
-		t.Fatal("Linear: f32 batch forward unstable across passes")
+	rows32 := got32.Clone()
+	for e := 0; e < x.Rows; e++ {
+		if one := f32l.Forward(rowOf(x, e)); !tensor.Equal(one, rowOf(rows32, e), 0) {
+			t.Fatalf("Linear: f32 row %d of a %d-row forward differs from the one-row forward", e, x.Rows)
+		}
 	}
 
 	// LSTM over a short sequence
@@ -70,9 +66,12 @@ func TestBackendForwardParity(t *testing.T) {
 	if e := relErr(hs32[1], hs[1]); e == 0 || e > rtol {
 		t.Fatalf("LSTM: f32 forward rel err %g (want nonzero and < %g)", e, rtol)
 	}
-	bhs32 := f32LSTM.ForwardBatch(seq)
-	if e := relErr(bhs32[1], hs32[1]); e > rtol {
-		t.Fatalf("LSTM: f32 batch vs serial rel err %g", e)
+	last32 := hs32[1].Clone()
+	for e := 0; e < x.Rows; e++ {
+		one := f32LSTM.Forward([]*tensor.Matrix{rowOf(x, e), rowOf(x, e)})
+		if !tensor.Equal(one[1], rowOf(last32, e), 0) {
+			t.Fatalf("LSTM: f32 row %d of a %d-row forward differs from the one-row forward", e, x.Rows)
+		}
 	}
 
 	// GAT on a small graph
@@ -96,13 +95,13 @@ func TestBackendForwardParity(t *testing.T) {
 	}
 	sharedLSTM := f32LSTM.Share()
 	hsS := sharedLSTM.Forward(seq)
-	if !tensor.Equal(hsS[1], hs32[1], 0) {
+	if !tensor.Equal(hsS[1], last32, 0) {
 		t.Fatal("LSTM.Share dropped the backend: shared forward diverges")
 	}
 }
 
-// TestMirrorFreshness pins the Touch discipline end to end: batch forwards
-// read cached weight views, so an optimizer step (and CopyParams,
+// TestMirrorFreshness pins the Touch discipline end to end: forwards read
+// cached weight views, so an optimizer step (and CopyParams,
 // SoftUpdate, Load) must invalidate them. A stale mirror would make the
 // post-step forward reproduce the pre-step output.
 func TestMirrorFreshness(t *testing.T) {
@@ -112,10 +111,10 @@ func TestMirrorFreshness(t *testing.T) {
 	for _, be := range []tensor.Backend{tensor.F64, tensor.F32} {
 		l := NewLinear("lin", 10, 6, rand.New(rand.NewSource(4)))
 		SetBackend(be, l)
-		before := l.ForwardBatch(x).Clone()
+		before := l.Forward(x).Clone()
 
-		// One gradient step moves the weights; the next batch forward must
-		// see the new values through the cached views.
+		// One gradient step moves the weights; the next forward must see
+		// the new values through the cached views.
 		dy := tensor.New(4, 6)
 		dy.Fill(0.1)
 		l.Backward(dy)
@@ -124,25 +123,25 @@ func TestMirrorFreshness(t *testing.T) {
 		fresh := NewLinear("lin", 10, 6, rand.New(rand.NewSource(5)))
 		CopyParams(fresh, l)
 		SetBackend(be, fresh)
-		want := fresh.ForwardBatch(x)
-		got := l.ForwardBatch(x)
+		want := fresh.Forward(x)
+		got := l.Forward(x)
 		if !tensor.Equal(got, want, 0) {
-			t.Fatalf("%s: batch forward after optimizer step served a stale weight mirror", be.Name())
+			t.Fatalf("%s: forward after optimizer step served a stale weight mirror", be.Name())
 		}
 		if tensor.Equal(got, before, 0) {
-			t.Fatalf("%s: optimizer step did not change the batch forward at all", be.Name())
+			t.Fatalf("%s: optimizer step did not change the forward at all", be.Name())
 		}
 
 		// SoftUpdate must also refresh the destination's views.
 		other := NewLinear("lin", 10, 6, rand.New(rand.NewSource(6)))
 		SetBackend(be, other)
-		_ = other.ForwardBatch(x) // warm the mirror cache
+		_ = other.Forward(x) // warm the mirror cache
 		SoftUpdate(other, l, 0.5)
 		check := NewLinear("lin", 10, 6, rand.New(rand.NewSource(7)))
 		CopyParams(check, other)
 		SetBackend(be, check)
-		if !tensor.Equal(other.ForwardBatch(x), check.ForwardBatch(x), 0) {
-			t.Fatalf("%s: batch forward after SoftUpdate served a stale weight mirror", be.Name())
+		if !tensor.Equal(other.Forward(x), check.Forward(x), 0) {
+			t.Fatalf("%s: forward after SoftUpdate served a stale weight mirror", be.Name())
 		}
 	}
 }

@@ -32,120 +32,101 @@ func cloneMat(m *tensor.Matrix) *tensor.Matrix {
 	return c
 }
 
-// TestForwardBatchBitIdentity checks the two halves of the batched-forward
-// contract for every layer with a ForwardBatch: (1) on the same input the
-// batched pass is bit-identical to Forward, and (2) stacking several
-// "environments" row-wise and running one batched pass reproduces each
-// environment's serial Forward rows byte-for-byte.
-func TestForwardBatchBitIdentity(t *testing.T) {
+// rowOf returns row e of m as a one-row matrix sharing m's storage.
+func rowOf(m *tensor.Matrix, e int) *tensor.Matrix {
+	return tensor.FromSlice(1, m.Cols, m.Row(e))
+}
+
+// TestForwardRowBitIdentity checks the batch-of-one contract for Linear
+// and Sequential: for a random B in 1..9, row e of one B-row forward is
+// bit-identical to a one-row forward of row e.
+func TestForwardRowBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		in := 2 + rng.Intn(10)
 		out := 1 + rng.Intn(12)
-		rows := 1 + rng.Intn(6)
-		nEnv := 1 + rng.Intn(5)
-
+		B := 1 + rng.Intn(9)
+		x := tensor.New(B, in)
+		fillRand(x, rng)
 		lin := NewLinear("lin", in, out, rng)
 		seqNet := NewMLP("mlp", []int{in, 2 + rng.Intn(8), out}, rng)
-		xs := make([]*tensor.Matrix, nEnv)
-		for e := range xs {
-			xs[e] = tensor.New(rows, in)
-			fillRand(xs[e], rng)
-		}
-		stacked := tensor.New(nEnv*rows, in)
-		for e, x := range xs {
-			copy(stacked.Data[e*rows*in:], x.Data)
-		}
-
-		for name, net := range map[string]interface {
-			Forward(*tensor.Matrix) *tensor.Matrix
-			ForwardBatch(*tensor.Matrix) *tensor.Matrix
-		}{"Linear": lin, "Sequential": seqNet} {
-			var serial []*tensor.Matrix
-			for _, x := range xs {
-				serial = append(serial, cloneMat(net.Forward(x)))
-			}
-			matBitsEqual(t, name+" same-input", serial[0], cloneMat(net.ForwardBatch(xs[0])))
-			batched := net.ForwardBatch(stacked)
-			for e := range xs {
-				for r := 0; r < rows; r++ {
-					for j := 0; j < out; j++ {
-						want := serial[e].At(r, j)
-						got := batched.At(e*rows+r, j)
-						if math.Float64bits(want) != math.Float64bits(got) {
-							t.Fatalf("%s stacked env %d row %d col %d: %v vs %v", name, e, r, j, want, got)
-						}
-					}
-				}
+		for name, net := range map[string]Layer{"Linear": lin, "Sequential": seqNet} {
+			batched := cloneMat(net.Forward(x))
+			for e := 0; e < B; e++ {
+				matBitsEqual(t, name+" row", rowOf(batched, e), net.Forward(rowOf(x, e)))
 			}
 		}
 	}
 }
 
-// TestLSTMForwardBatchBitIdentity covers the fused inference-only LSTM
-// pass: same-input identity, row-stacking identity, and the Backward
-// poisoning contract.
-func TestLSTMForwardBatchBitIdentity(t *testing.T) {
+// TestLSTMForwardRowBitIdentity checks the batch-of-one contract for the
+// LSTM: row e of every hidden state of a B-row pass is bit-identical to
+// the one-row pass over row e's sequence.
+func TestLSTMForwardRowBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {
 		in := 2 + rng.Intn(8)
 		hidden := 1 + rng.Intn(9)
 		steps := 1 + rng.Intn(6)
-		rows := 1 + rng.Intn(5)
-		nEnv := 1 + rng.Intn(4)
+		B := 1 + rng.Intn(9)
 		l := NewLSTM("lstm", in, hidden, rng)
-
-		seqs := make([][]*tensor.Matrix, nEnv)
-		stacked := make([]*tensor.Matrix, steps)
-		for tt := range stacked {
-			stacked[tt] = tensor.New(nEnv*rows, in)
+		seq := make([]*tensor.Matrix, steps)
+		for tt := range seq {
+			seq[tt] = tensor.New(B, in)
+			fillRand(seq[tt], rng)
 		}
-		for e := range seqs {
-			seqs[e] = make([]*tensor.Matrix, steps)
-			for tt := range seqs[e] {
-				x := tensor.New(rows, in)
-				fillRand(x, rng)
-				seqs[e][tt] = x
-				copy(stacked[tt].Data[e*rows*in:], x.Data)
+		var batched []*tensor.Matrix
+		for _, h := range l.Forward(seq) {
+			batched = append(batched, cloneMat(h))
+		}
+		one := make([]*tensor.Matrix, steps)
+		for e := 0; e < B; e++ {
+			for tt, x := range seq {
+				one[tt] = rowOf(x, e)
 			}
-		}
-
-		serial := make([][]*tensor.Matrix, nEnv)
-		for e, seq := range seqs {
-			hs := l.Forward(seq)
-			serial[e] = make([]*tensor.Matrix, steps)
-			for tt, h := range hs {
-				serial[e][tt] = cloneMat(h)
+			for tt, h := range l.Forward(one) {
+				matBitsEqual(t, "LSTM row", rowOf(batched[tt], e), h)
 			}
-		}
-		sameIn := l.ForwardBatch(seqs[0])
-		for tt := range sameIn {
-			matBitsEqual(t, "LSTM same-input", serial[0][tt], sameIn[tt])
-		}
-		batched := l.ForwardBatch(stacked)
-		for tt, h := range batched {
-			for e := 0; e < nEnv; e++ {
-				for r := 0; r < rows; r++ {
-					for j := 0; j < hidden; j++ {
-						want := serial[e][tt].At(r, j)
-						got := h.At(e*rows+r, j)
-						if math.Float64bits(want) != math.Float64bits(got) {
-							t.Fatalf("LSTM step %d env %d row %d col %d: %v vs %v", tt, e, r, j, want, got)
-						}
-					}
-				}
-			}
-		}
-		if dx := l.Backward(nil); dx != nil {
-			t.Fatal("Backward after ForwardBatch must return nil (poisoned caches)")
 		}
 	}
 }
 
-// TestGATForwardBatchBitIdentity checks the graph-concatenation form of
-// batching: N graphs become one node matrix with per-graph node offsets,
-// and each graph's target rows match its serial Forward bit-for-bit.
-func TestGATForwardBatchBitIdentity(t *testing.T) {
+// TestLSTMMultiRowGradCheck checks Backward through a multi-row Forward
+// against numeric gradients, with the loss reading every step's hidden
+// state: every forward fills the backward caches.
+func TestLSTMMultiRowGradCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	l := NewLSTM("lstm", 3, 4, rng)
+	seq := make([]*tensor.Matrix, 3)
+	targets := make([]*tensor.Matrix, len(seq))
+	for i := range seq {
+		seq[i] = tensor.New(5, 3)
+		seq[i].RandUniform(rng, 1)
+		targets[i] = tensor.New(5, 4)
+		targets[i].RandUniform(rng, 1)
+	}
+	loss := func() float64 {
+		total := 0.0
+		for tt, h := range l.Forward(seq) {
+			lv, _ := MSE(h, targets[tt])
+			total += lv
+		}
+		return total
+	}
+	ZeroGrads(l)
+	dH := make([]*tensor.Matrix, len(seq))
+	for tt, h := range l.Forward(seq) {
+		_, g := MSE(h, targets[tt])
+		dH[tt] = g
+	}
+	l.Backward(dH)
+	checkGrads(t, l, loss, 1e-4)
+}
+
+// TestGATForwardRowBitIdentity checks the graph-concatenation form of
+// batching: B graphs become one node matrix with per-graph node offsets,
+// and each graph's target rows match a Forward over that graph alone.
+func TestGATForwardRowBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
 		in := 2 + rng.Intn(6)
@@ -153,7 +134,7 @@ func TestGATForwardBatchBitIdentity(t *testing.T) {
 		out := 1 + rng.Intn(8)
 		nodesPer := 4 + rng.Intn(8)
 		nTargets := 1 + rng.Intn(3)
-		nEnv := 1 + rng.Intn(4)
+		B := 1 + rng.Intn(9)
 		g := NewGAT("gat", in, attn, out, rng)
 		g.Residual = rng.Intn(2) == 0
 		g.Uniform = rng.Intn(4) == 0
@@ -163,8 +144,8 @@ func TestGATForwardBatchBitIdentity(t *testing.T) {
 			targets   []int
 			neighbors [][]int
 		}
-		graphs := make([]graph, nEnv)
-		bigNodes := tensor.New(nEnv*nodesPer, in)
+		graphs := make([]graph, B)
+		bigNodes := tensor.New(B*nodesPer, in)
 		var bigTargets []int
 		var bigNeighbors [][]int
 		for e := range graphs {
@@ -190,22 +171,11 @@ func TestGATForwardBatchBitIdentity(t *testing.T) {
 			graphs[e] = graph{nodes, targets, neighbors}
 		}
 
-		serial := make([]*tensor.Matrix, nEnv)
+		batched := cloneMat(g.Forward(bigNodes, bigTargets, bigNeighbors))
 		for e, gr := range graphs {
-			serial[e] = cloneMat(g.Forward(gr.nodes, gr.targets, gr.neighbors))
-		}
-		sameIn := g.ForwardBatch(graphs[0].nodes, graphs[0].targets, graphs[0].neighbors)
-		matBitsEqual(t, "GAT same-input", serial[0], sameIn)
-		batched := g.ForwardBatch(bigNodes, bigTargets, bigNeighbors)
-		for e := 0; e < nEnv; e++ {
+			one := g.Forward(gr.nodes, gr.targets, gr.neighbors)
 			for i := 0; i < nTargets; i++ {
-				for j := 0; j < out; j++ {
-					want := serial[e].At(i, j)
-					got := batched.At(e*nTargets+i, j)
-					if math.Float64bits(want) != math.Float64bits(got) {
-						t.Fatalf("GAT env %d target %d col %d: %v vs %v", e, i, j, want, got)
-					}
-				}
+				matBitsEqual(t, "GAT target row", rowOf(batched, e*nTargets+i), rowOf(one, i))
 			}
 		}
 	}

@@ -28,11 +28,6 @@ type GAT struct {
 	// Uniform replaces the learned attention with mean aggregation
 	// (α = 1/|N(i)|), the ablation of the importance-score mechanism.
 	Uniform bool
-	// Workers fans the ForwardBatch matmuls out over row tiles via
-	// internal/parallel when > 1. Results are bit-identical for every
-	// value (tiling never splits the accumulation axis); <= 1 runs the
-	// serial blocked kernel inline.
-	Workers int
 	Phi1    *Param // In×AttnDim, feature transform for scoring
 	Phi2    *Param // 1×2AttnDim, attention vector
 	Phi3    *Param // In×Out, feature transform for aggregation
@@ -81,8 +76,7 @@ func (g *GAT) Params() []*Param { return g.params }
 // spatial-temporal graph.
 func (g *GAT) Share() *GAT {
 	s := &GAT{In: g.In, AttnDim: g.AttnDim, Out: g.Out, Residual: g.Residual,
-		Uniform: g.Uniform, Workers: g.Workers, Phi1: g.Phi1, Phi2: g.Phi2, Phi3: g.Phi3,
-		be: g.be}
+		Uniform: g.Uniform, Phi1: g.Phi1, Phi2: g.Phi2, Phi3: g.Phi3, be: g.be}
 	s.params = []*Param{s.Phi1, s.Phi2, s.Phi3}
 	return s
 }
@@ -102,24 +96,12 @@ func (g *GAT) Alphas() [][]float64 { return g.alphas }
 // target node indices; neighbors[i] lists the node indices attended by
 // targets[i] and must include the target itself (the self-loop edge ③ of
 // the paper's graph construction). The result has one row per target.
+//
+// Several graphs batch into one call by concatenating their node matrices
+// and offsetting targets/neighbors by each graph's node base: every
+// computation is row-independent, so each graph's target rows are
+// bit-identical to a Forward over that graph alone.
 func (g *GAT) Forward(nodes *tensor.Matrix, targets []int, neighbors [][]int) *tensor.Matrix {
-	return g.forward(nodes, targets, neighbors, false)
-}
-
-// ForwardBatch is Forward on the row-blocked kernels of the batched
-// execution engine. The result is bit-identical to Forward — the blocked
-// matmuls preserve the ascending-k accumulation order and the per-target
-// attention loop is untouched — and the forward caches (including Alphas)
-// are filled exactly as Forward fills them, so Backward remains valid.
-// Batching N graphs means concatenating their node matrices and offsetting
-// targets/neighbors by each graph's node base; every per-graph row then
-// matches the per-graph Forward bit-for-bit because all cross-row
-// computation is row-independent.
-func (g *GAT) ForwardBatch(nodes *tensor.Matrix, targets []int, neighbors [][]int) *tensor.Matrix {
-	return g.forward(nodes, targets, neighbors, true)
-}
-
-func (g *GAT) forward(nodes *tensor.Matrix, targets []int, neighbors [][]int, blocked bool) *tensor.Matrix {
 	if len(targets) != len(neighbors) {
 		panic("nn: GAT targets/neighbors length mismatch")
 	}
@@ -128,18 +110,8 @@ func (g *GAT) forward(nodes *tensor.Matrix, targets []int, neighbors [][]int, bl
 	g.u = g.ws.Get(nodes.Rows, g.AttnDim)
 	g.w = g.ws.Get(nodes.Rows, g.Out)
 	be := backendOr(g.be)
-	if blocked && g.Workers > 1 {
-		be.MatMulParallel(&g.ws, g.u, nodes, g.Phi1.H(), g.Workers)
-		be.MatMulParallel(&g.ws, g.w, nodes, g.Phi3.H(), g.Workers)
-	} else if blocked {
-		// The batched products run on the contiguous-stream dot kernel
-		// against cached weight views; see Linear.ForwardBatch.
-		be.BatchMatMul(&g.ws, g.u, nodes, g.Phi1.H())
-		be.BatchMatMul(&g.ws, g.w, nodes, g.Phi3.H())
-	} else {
-		be.MatMul(&g.ws, g.u, nodes, g.Phi1.H())
-		be.MatMul(&g.ws, g.w, nodes, g.Phi3.H())
-	}
+	be.MatMul(&g.ws, g.u, nodes, g.Phi1.H())
+	be.MatMul(&g.ws, g.w, nodes, g.Phi3.H())
 	D := g.AttnDim
 	phi2a := g.Phi2.W.Data[:D]
 	phi2b := g.Phi2.W.Data[D:]

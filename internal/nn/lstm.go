@@ -19,14 +19,14 @@ type LSTM struct {
 	B          *Param // 1×4H bias
 
 	// forward caches, one entry per time step; the matrices live in ws
-	// and stay valid until the next Forward resets it
-	xs, hs, cs             []*tensor.Matrix
-	ig, fg, gg, og, tanhCs []*tensor.Matrix
-	dxs                    []*tensor.Matrix
-	bhs                    []*tensor.Matrix // ForwardBatch hidden states
-	ws                     tensor.Workspace
-	params                 []*Param
-	be                     tensor.Backend // nil means tensor.F64
+	// and stay valid until the next Forward resets it. gates holds the
+	// activated input/forget/cell/output gates side by side (batch×4H).
+	xs, hs, cs    []*tensor.Matrix
+	gates, tanhCs []*tensor.Matrix
+	dxs           []*tensor.Matrix
+	ws            tensor.Workspace
+	params        []*Param
+	be            tensor.Backend // nil means tensor.F64
 }
 
 // NewLSTM returns a Xavier-initialized LSTM with the given input and hidden
@@ -73,17 +73,17 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 // Forward runs the LSTM over seq (each element a batch×In matrix for one
 // time step) and returns the hidden state batch×Hidden at every step. All
 // target vehicles are processed in parallel as rows of the batch, which is
-// the batched-sequence parallelism the paper relies on for efficiency.
+// the batched-sequence parallelism the paper relies on for efficiency; a
+// one-row batch is the single-sequence case. Rows are independent, so row
+// e of a batch is bit-identical to a one-row pass over row e. Every pass
+// fills the backward caches, so Backward is valid after any Forward.
 func (l *LSTM) Forward(seq []*tensor.Matrix) []*tensor.Matrix {
 	n := len(seq)
 	l.ws.Reset()
 	l.xs = append(l.xs[:0], seq...)
 	l.hs = growPtrs(l.hs, n)
 	l.cs = growPtrs(l.cs, n)
-	l.ig = growPtrs(l.ig, n)
-	l.fg = growPtrs(l.fg, n)
-	l.gg = growPtrs(l.gg, n)
-	l.og = growPtrs(l.og, n)
+	l.gates = growPtrs(l.gates, n)
 	l.tanhCs = growPtrs(l.tanhCs, n)
 	if n == 0 {
 		return nil
@@ -95,33 +95,37 @@ func (l *LSTM) Forward(seq []*tensor.Matrix) []*tensor.Matrix {
 	cPrev := l.ws.GetZero(batch, H)
 	for t, x := range seq {
 		z := l.ws.Get(batch, 4*H)
+		// The fused pre-activation (Σx·Wx) + (Σh·Wh) + b runs on the
+		// backend's dot kernel against the Weights handles' cached views.
 		be.LSTMPreact(&l.ws, z, x, l.Wx.H(), hPrev, l.Wh.H(), l.B.H())
-		i := l.ws.Get(batch, H)
-		f := l.ws.Get(batch, H)
-		g := l.ws.Get(batch, H)
-		o := l.ws.Get(batch, H)
 		c := l.ws.Get(batch, H)
 		tc := l.ws.Get(batch, H)
 		h := l.ws.Get(batch, H)
 		for r := 0; r < batch; r++ {
 			zr := z.Row(r)
+			// One subslice per gate block and cache row hoists the
+			// address arithmetic and bounds checks out of the element loop.
+			zi := zr[:H]
+			zf := zr[H : 2*H]
+			zg := zr[2*H : 3*H]
+			zo := zr[3*H : 4*H]
+			cpr := cPrev.Row(r)[:H]
+			cr, tcr, hr := c.Row(r)[:H], tc.Row(r)[:H], h.Row(r)[:H]
 			for j := 0; j < H; j++ {
-				iv := sigmoid(zr[j])
-				fv := sigmoid(zr[H+j])
-				gv := math.Tanh(zr[2*H+j])
-				ov := sigmoid(zr[3*H+j])
-				cv := fv*cPrev.At(r, j) + iv*gv
+				iv := sigmoid(zi[j])
+				fv := sigmoid(zf[j])
+				gv := math.Tanh(zg[j])
+				ov := sigmoid(zo[j])
+				// Each activated gate overwrites its pre-activation, so z
+				// becomes this step's gate cache for Backward.
+				zi[j], zf[j], zg[j], zo[j] = iv, fv, gv, ov
+				cv := fv*cpr[j] + iv*gv
 				tcv := math.Tanh(cv)
-				i.Set(r, j, iv)
-				f.Set(r, j, fv)
-				g.Set(r, j, gv)
-				o.Set(r, j, ov)
-				c.Set(r, j, cv)
-				tc.Set(r, j, tcv)
-				h.Set(r, j, ov*tcv)
+				cr[j], tcr[j] = cv, tcv
+				hr[j] = ov * tcv
 			}
 		}
-		l.ig[t], l.fg[t], l.gg[t], l.og[t] = i, f, g, o
+		l.gates[t] = z
 		l.cs[t], l.tanhCs[t], l.hs[t] = c, tc, h
 		hPrev, cPrev = h, c
 	}
@@ -150,8 +154,7 @@ func (l *LSTM) Backward(dHidden []*tensor.Matrix) []*tensor.Matrix {
 			tensor.AddInto(sum, dhNext, dHidden[t])
 			dh = sum
 		}
-		i, f, g, o := l.ig[t], l.fg[t], l.gg[t], l.og[t]
-		tc := l.tanhCs[t]
+		gates, tc := l.gates[t], l.tanhCs[t]
 		var cPrev *tensor.Matrix
 		if t > 0 {
 			cPrev = l.cs[t-1]
@@ -163,10 +166,10 @@ func (l *LSTM) Backward(dHidden []*tensor.Matrix) []*tensor.Matrix {
 		for r := 0; r < batch; r++ {
 			for j := 0; j < H; j++ {
 				dhv := dh.At(r, j)
-				ov, tcv := o.At(r, j), tc.At(r, j)
+				ov, tcv := gates.At(r, 3*H+j), tc.At(r, j)
 				dc := dcNext.At(r, j) + dhv*ov*(1-tcv*tcv)
 				do := dhv * tcv
-				iv, fv, gv := i.At(r, j), f.At(r, j), g.At(r, j)
+				iv, fv, gv := gates.At(r, j), gates.At(r, H+j), gates.At(r, 2*H+j)
 				di := dc * gv
 				df := dc * cPrev.At(r, j)
 				dg := dc * iv

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -58,7 +59,9 @@ func Load(r io.Reader, m Module) error {
 }
 
 // LoadTagged restores parameters into m after checking the checkpoint's
-// recorded backend against the loader's. Weights are stored as float64
+// recorded backend against the loader's. It is all-or-nothing: every
+// blob's name, shape, length and finiteness is checked before any
+// parameter is written. Weights are stored as float64
 // regardless of backend, but a model trained under f32 forwards carries
 // f32-shaped numerics; loading it under f64 (or vice versa) would silently
 // shift every Table metric outside its tolerance fence, so the mismatch is
@@ -86,6 +89,8 @@ func LoadTagged(r io.Reader, m Module, backend string) error {
 		return fmt.Errorf("nn: load: parameter count mismatch: saved %d, module has %d",
 			len(blobs), len(params))
 	}
+	// Validate every blob before copying any, so a bad checkpoint returns
+	// an error with the module untouched instead of half overwritten.
 	for i, p := range params {
 		b := blobs[i]
 		if b.Name != p.Name {
@@ -99,7 +104,14 @@ func LoadTagged(r io.Reader, m Module, backend string) error {
 		if len(b.Data) != len(p.W.Data) {
 			return fmt.Errorf("nn: load: parameter %q data length mismatch", b.Name)
 		}
-		copy(p.W.Data, b.Data)
+		for j, v := range b.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: load: parameter %q element %d is %v", b.Name, j, v)
+			}
+		}
+	}
+	for i, p := range params {
+		copy(p.W.Data, blobs[i].Data)
 		p.Touch()
 	}
 	return nil

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -74,5 +76,49 @@ func TestSaveLoadLSTMAndGAT(t *testing.T) {
 	}
 	if !tensor.Equal(lstm.Wx.W, lstm2.Wx.W, 0) || !tensor.Equal(gat.Phi2.W, gat2.Phi2.W, 0) {
 		t.Error("weights not restored")
+	}
+}
+
+// TestLoadAllOrNothing checks that a checkpoint whose last blob is bad —
+// wrong shape, or a NaN — fails to load and leaves every parameter of the
+// module byte-identical, instead of overwriting the parameters before it.
+func TestLoadAllOrNothing(t *testing.T) {
+	src := NewMLP("m", []int{3, 8, 2}, rand.New(rand.NewSource(5)))
+	for _, tc := range []struct {
+		name   string
+		damage func(last *paramBlob)
+	}{
+		{"wrong shape", func(last *paramBlob) {
+			last.Rows, last.Cols = last.Cols, last.Rows+1
+			last.Data = make([]float64, last.Rows*last.Cols)
+		}},
+		{"NaN", func(last *paramBlob) { last.Data[len(last.Data)-1] = math.NaN() }},
+	} {
+		var blobs []paramBlob
+		for _, p := range src.Params() {
+			blobs = append(blobs, paramBlob{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols,
+				Data: append([]float64(nil), p.W.Data...)})
+		}
+		tc.damage(&blobs[len(blobs)-1])
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(blobs); err != nil {
+			t.Fatal(err)
+		}
+
+		dst := NewMLP("m", []int{3, 8, 2}, rand.New(rand.NewSource(6)))
+		var before [][]float64
+		for _, p := range dst.Params() {
+			before = append(before, append([]float64(nil), p.W.Data...))
+		}
+		if err := Load(&buf, dst); err == nil {
+			t.Fatalf("%s: load succeeded", tc.name)
+		}
+		for i, p := range dst.Params() {
+			for j, v := range p.W.Data {
+				if math.Float64bits(v) != math.Float64bits(before[i][j]) {
+					t.Fatalf("%s: parameter %s element %d changed by a failed load", tc.name, p.Name, j)
+				}
+			}
+		}
 	}
 }

@@ -28,13 +28,15 @@ type LSTGAT struct {
 	lastT   int // index of the most recent history step run through forward
 
 	// steady-state scratch: per-step node/input matrices live in ws (valid
-	// until the next forward), seq and dHidden reuse their backing arrays.
+	// until the next forward), seq and dHidden reuse their backing arrays,
+	// and one is the one-graph batch Predict and GradBatch pass to forward.
 	ws      tensor.Workspace
 	seq     []*tensor.Matrix
 	dHidden []*tensor.Matrix
+	one     [1]*phantom.Graph
 
-	// batched-forward scratch: offset target/neighbor index views over the
-	// concatenated node matrix, reusing their backing arrays across calls.
+	// offset target/neighbor index views over the concatenated node
+	// matrix, reusing their backing arrays across calls.
 	batchTargets []int
 	batchNbrs    [][]int
 }
@@ -139,78 +141,32 @@ func (m *LSTGAT) Params() []*nn.Param {
 	return ps
 }
 
-// forward runs the full network, returning the scaled 6×3 output. The
-// LSTM input at each step concatenates every target's own (scaled) state
-// vector with its graph-attention aggregation: the pure convex combination
-// of Equation (11) cannot isolate the target's own state — its softmax
-// weights sum to one, so neighbor content is always injected at full
-// magnitude — and the concatenation lets the temporal model weigh raw
-// state against interaction context (see BenchmarkAblationAggregator).
-func (m *LSTGAT) forward(g *phantom.Graph) *tensor.Matrix {
-	z := len(g.Steps)
-	m.ws.Reset()
-	if cap(m.seq) < z {
-		m.seq = make([]*tensor.Matrix, z)
-	}
-	m.seq = m.seq[:z]
-	for t := 0; t < z; t++ {
-		nodes := m.ws.Get(len(g.Steps[t]), gatInDim)
-		m.scale.nodesInto(nodes, g.Steps[t])
-		for n := 0; n < nodes.Rows; n++ {
-			nodes.Row(n)[phantom.FeatureDim] = slotCode[n]
-		}
-		if t >= len(m.gats) {
-			// Histories longer than configured get extra weight-sharing
-			// views so every step keeps its own backward cache.
-			m.gats = append(m.gats, m.gat.Share())
-		}
-		ctx := m.gats[t].Forward(nodes, g.Targets, g.Neighbors)
-		// The LSTM input concatenates each target's own scaled features
-		// with its attention aggregation, written straight into one
-		// workspace row per target.
-		cat := m.ws.Get(len(g.Targets), phantom.FeatureDim+ctx.Cols)
-		for i, node := range g.Targets {
-			row := cat.Row(i)
-			copy(row[:phantom.FeatureDim], nodes.Row(node)[:phantom.FeatureDim])
-			copy(row[phantom.FeatureDim:], ctx.Row(i))
-		}
-		m.seq[t] = cat
-	}
-	hs := m.lstm.Forward(m.seq)
-	m.lastT = z - 1
-	return m.out.Forward(hs[len(hs)-1])
-}
-
-// SetBatchWorkers fans the batched GAT matmuls out over internal/parallel
-// row tiles when n > 1. Any value yields bit-identical predictions; <= 1
-// (the default) keeps the batched pass single-threaded.
-func (m *LSTGAT) SetBatchWorkers(n int) {
-	m.gat.Workers = n
-	for _, g := range m.gats {
-		g.Workers = n
-	}
-}
-
-// forwardBatch is forward over several graphs at once: per history step the
-// graphs' node matrices stack into one gather matrix (targets and neighbor
-// lists shifted by each graph's node base), one shared-weight GAT pass
-// aggregates every graph's neighborhoods, and the LSTM and read-out run
-// over the concatenated target rows. Every per-graph row is bit-identical
-// to the serial forward: the gather writes the same scaled features, the
-// blocked kernels keep MatMulInto's accumulation order, and all cross-row
-// computation is row-independent. Inference-only — the LSTM skips its
-// backward caches.
-func (m *LSTGAT) forwardBatch(gs []*phantom.Graph) *tensor.Matrix {
+// forward runs the full network over one or more graphs, returning the
+// scaled output: 6×3 per graph, stacked in graph order. The LSTM input at
+// each step concatenates every target's own (scaled) state vector with its
+// graph-attention aggregation: the pure convex combination of Equation
+// (11) cannot isolate the target's own state — its softmax weights sum to
+// one, so neighbor content is always injected at full magnitude — and the
+// concatenation lets the temporal model weigh raw state against
+// interaction context (see BenchmarkAblationAggregator).
+//
+// Per history step the graphs' node matrices stack into one gather matrix
+// (targets and neighbor lists shifted by each graph's node base), one
+// shared-weight GAT pass aggregates every graph's neighborhoods, and the
+// LSTM and read-out run over the concatenated target rows. All cross-row
+// computation is row-independent, so each graph's rows are bit-identical
+// to a forward over that graph alone; Predict is the batch of one.
+func (m *LSTGAT) forward(gs []*phantom.Graph) *tensor.Matrix {
 	z := len(gs[0].Steps)
 	nodesPer := len(gs[0].Steps[0])
 	nTargets := 0
 	for _, g := range gs {
 		if len(g.Steps) != z {
-			panic("predict: forwardBatch graphs disagree on history length")
+			panic("predict: forward graphs disagree on history length")
 		}
 		for _, step := range g.Steps {
 			if len(step) != nodesPer {
-				panic("predict: forwardBatch graphs disagree on node count")
+				panic("predict: forward graphs disagree on node count")
 			}
 		}
 		nTargets += len(g.Targets)
@@ -253,15 +209,20 @@ func (m *LSTGAT) forwardBatch(gs []*phantom.Graph) *tensor.Matrix {
 		nodes := m.ws.Get(len(gs)*nodesPer, gatInDim)
 		for e, g := range gs {
 			base := e * nodesPer
-			m.scale.nodesIntoAt(nodes, base, g.Steps[t])
+			m.scale.nodesInto(nodes, base, g.Steps[t])
 			for n := 0; n < nodesPer; n++ {
 				nodes.Row(base + n)[phantom.FeatureDim] = slotCode[n]
 			}
 		}
 		if t >= len(m.gats) {
+			// Histories longer than configured get extra weight-sharing
+			// views so every step keeps its own backward cache.
 			m.gats = append(m.gats, m.gat.Share())
 		}
-		ctx := m.gats[t].ForwardBatch(nodes, targets, neighbors)
+		ctx := m.gats[t].Forward(nodes, targets, neighbors)
+		// The LSTM input concatenates each target's own scaled features
+		// with its attention aggregation, written straight into one
+		// workspace row per target.
 		cat := m.ws.Get(nTargets, phantom.FeatureDim+ctx.Cols)
 		idx = 0
 		for e, g := range gs {
@@ -275,9 +236,9 @@ func (m *LSTGAT) forwardBatch(gs []*phantom.Graph) *tensor.Matrix {
 		}
 		m.seq[t] = cat
 	}
-	hs := m.lstm.ForwardBatch(m.seq)
+	hs := m.lstm.Forward(m.seq)
 	m.lastT = z - 1
-	return m.out.ForwardBatch(hs[len(hs)-1])
+	return m.out.Forward(hs[len(hs)-1])
 }
 
 // PredictBatch predicts every graph in one batched pass, writing gs[i]'s
@@ -291,7 +252,7 @@ func (m *LSTGAT) PredictBatch(gs []*phantom.Graph, out []Prediction) {
 	if len(out) < len(gs) {
 		panic("predict: PredictBatch out shorter than gs")
 	}
-	y := m.forwardBatch(gs)
+	y := m.forward(gs)
 	row := 0
 	for e, g := range gs {
 		for i := range g.Targets {
@@ -315,7 +276,8 @@ func (m *LSTGAT) LastAttention() [][]float64 {
 // Predict implements Model. All six targets are predicted in one parallel
 // pass.
 func (m *LSTGAT) Predict(g *phantom.Graph) Prediction {
-	y := m.forward(g)
+	m.one[0] = g
+	y := m.forward(m.one[:])
 	var p Prediction
 	for i := 0; i < phantom.NumSlots; i++ {
 		p[i] = m.scale.unscaleRow(y.Row(i))
@@ -341,7 +303,8 @@ func (m *LSTGAT) GradBatch(batch []*ngsim.Sample) float64 {
 	nn.ZeroGrads(m)
 	total := 0.0
 	for _, s := range batch {
-		y := m.forward(s.Graph)
+		m.one[0] = s.Graph
+		y := m.forward(m.one[:])
 		target := m.ws.Get(phantom.NumSlots, OutputDim)
 		for i := 0; i < phantom.NumSlots; i++ {
 			if s.Mask[i] {

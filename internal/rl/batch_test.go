@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"head/internal/nn"
+	"head/internal/tensor"
 )
 
 // randStates draws n random augmented states for spec.
@@ -24,7 +25,7 @@ func randStates(spec StateSpec, n int, rng *rand.Rand) [][]float64 {
 
 // TestSelectActionBatchBitIdentity pins the agent-level contract of the
 // batched execution engine: SelectActionBatch over N states equals N
-// serial greedy Acts bit-for-bit, for both the branched (BP-DQN) and the
+// one-state greedy Acts bit-for-bit, for both the branched (BP-DQN) and the
 // shared (P-DQN) network families, across batch sizes and repeated calls.
 func TestSelectActionBatchBitIdentity(t *testing.T) {
 	spec := DefaultStateSpec()
@@ -68,10 +69,10 @@ func TestSelectActionBatchBitIdentity(t *testing.T) {
 					}
 				}
 			}
-			// A serial greedy Act after the batched pass must be untouched.
+			// A one-state greedy Act after the batched pass must be untouched.
 			again := agent.Act(states[0], false)
 			if again.B != want[0].B || math.Float64bits(again.A) != math.Float64bits(want[0].A) {
-				t.Fatalf("%s trial %d: serial Act perturbed after SelectActionBatch", tc.name, trial)
+				t.Fatalf("%s trial %d: Act perturbed after SelectActionBatch", tc.name, trial)
 			}
 		}
 	}
@@ -107,9 +108,9 @@ func trainToy(t *testing.T, batchEnvs int) []byte {
 }
 
 // TestTrainBatchEnvsCheckpointIdentity is the training-side bit-identity
-// gate: the batched target-network evaluation and the replay prefetch
-// pipeline (both enabled by SetBatchEnvs > 1) must leave a seeded training
-// run's checkpoint byte-identical to the width-1 serial run.
+// gate: the replay prefetch pipeline (enabled by SetBatchEnvs > 1) must
+// leave a seeded training run's checkpoint byte-identical to the width-1
+// run.
 func TestTrainBatchEnvsCheckpointIdentity(t *testing.T) {
 	serial := trainToy(t, 1)
 	batched := trainToy(t, 8)
@@ -118,8 +119,9 @@ func TestTrainBatchEnvsCheckpointIdentity(t *testing.T) {
 	}
 }
 
-// TestTargetValuesBatchMatchesSerial compares the two targetValues paths
-// directly on a mixed done/non-done minibatch.
+// TestTargetValuesBatchMatchesSerial checks targetValues on a mixed
+// done/non-done minibatch against one B-row forward of the target
+// networks over the non-terminal next states.
 func TestTargetValuesBatchMatchesSerial(t *testing.T) {
 	spec := DefaultStateSpec()
 	rng := rand.New(rand.NewSource(90))
@@ -127,6 +129,7 @@ func TestTargetValuesBatchMatchesSerial(t *testing.T) {
 	states := randStates(spec, 12, rng)
 	nexts := randStates(spec, 12, rng)
 	batch := make([]Transition, 12)
+	var live [][]float64
 	for i := range batch {
 		batch[i] = Transition{
 			State:  states[i],
@@ -135,14 +138,67 @@ func TestTargetValuesBatchMatchesSerial(t *testing.T) {
 			Done:   i%5 == 4,
 			Action: Action{B: i % NumBehaviors, Raw: []float64{0.1, -0.2, 0.3}},
 		}
+		if !batch[i].Done {
+			live = append(live, nexts[i])
+		}
 	}
-	agent.SetBatchEnvs(1)
-	serial := append([]float64(nil), agent.targetValues(batch)...)
-	agent.SetBatchEnvs(8)
-	batched := agent.targetValues(batch)
-	for k := range serial {
-		if math.Float64bits(serial[k]) != math.Float64bits(batched[k]) {
-			t.Fatalf("target %d: serial %v batched %v", k, serial[k], batched[k])
+	qN := agent.qT.Forward(live, agent.xT.Forward(live)).Clone()
+	want := make([]float64, len(batch))
+	row := 0
+	for k, tr := range batch {
+		want[k] = tr.Reward
+		if !tr.Done {
+			want[k] += agent.cfg.Gamma * qN.At(row, qN.ArgmaxRow(row))
+			row++
+		}
+	}
+	got := agent.targetValues(batch)
+	for k := range want {
+		if math.Float64bits(want[k]) != math.Float64bits(got[k]) {
+			t.Fatalf("target %d: batched %v targetValues %v", k, want[k], got[k])
+		}
+	}
+}
+
+// TestNetsForwardRowBitIdentity checks the batch-of-one contract for the
+// four decision networks: for a random B in 1..9, row e of one B-row
+// forward is bit-identical to the one-row forward of state e.
+func TestNetsForwardRowBitIdentity(t *testing.T) {
+	spec := DefaultStateSpec()
+	rng := rand.New(rand.NewSource(92))
+	xnets := map[string]XNet{
+		"BranchedX": NewBranchedX(spec, 8, 3, rng),
+		"SharedX":   NewSharedX(spec, 8, 3, rng),
+	}
+	qnets := map[string]QNet{
+		"BranchedQ": NewBranchedQ(spec, 8, rng),
+		"SharedQ":   NewSharedQ(spec, 8, rng),
+	}
+	rowsEqual := func(name string, trial, e int, batched, one *tensor.Matrix) {
+		t.Helper()
+		for j := 0; j < batched.Cols; j++ {
+			if math.Float64bits(batched.At(e, j)) != math.Float64bits(one.At(0, j)) {
+				t.Fatalf("%s trial %d row %d col %d: batched %v one-row %v", name, trial, e, j, batched.At(e, j), one.At(0, j))
+			}
+		}
+	}
+	for trial := 0; trial < 8; trial++ {
+		B := 1 + rng.Intn(9)
+		states := randStates(spec, B, rng)
+		xout := tensor.New(B, NumBehaviors)
+		xout.RandUniform(rng, 3)
+		for name, x := range xnets {
+			batched := x.Forward(states).Clone()
+			for e, s := range states {
+				rowsEqual(name, trial, e, batched, x.Forward([][]float64{s}))
+			}
+		}
+		for name, q := range qnets {
+			batched := q.Forward(states, xout).Clone()
+			for e, s := range states {
+				one := tensor.FromSlice(1, NumBehaviors, xout.Row(e))
+				rowsEqual(name, trial, e, batched, q.Forward([][]float64{s}, one))
+			}
 		}
 	}
 }

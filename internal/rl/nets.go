@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math/rand"
 
 	"head/internal/nn"
@@ -8,28 +9,35 @@ import (
 )
 
 // XNet is the deterministic action-parameter network x(s, ·; θx): it maps
-// an augmented state to one continuous acceleration per discrete behavior,
+// augmented states to one continuous acceleration per discrete behavior,
 // each bounded to [−a′, a′] by a scaled Tanh (Equation (25)).
 type XNet interface {
 	nn.Module
-	// Forward returns the 1×3 acceleration vector x_out.
-	Forward(state []float64) *tensor.Matrix
+	// Forward returns the B×NumBehaviors acceleration matrix x_out for B
+	// states; a single state is a batch of one. Rows are independent: row
+	// e is bit-identical to the one-state forward of states[e].
+	Forward(states [][]float64) *tensor.Matrix
 	// Backward accumulates parameter gradients from the loss gradient
-	// with respect to x_out.
+	// with respect to the last Forward's x_out.
 	Backward(d *tensor.Matrix)
 }
 
-// QNet is the action-value network Q(s, ·, x_out; θQ): it maps the
-// augmented state and the action-parameter vector to one Q value per
-// discrete behavior (Equation (27)).
+// QNet is the action-value network Q(s, ·, x_out; θQ): it maps augmented
+// states and their action-parameter vectors to one Q value per discrete
+// behavior (Equation (27)).
 type QNet interface {
 	nn.Module
-	// Forward returns the 1×3 Q-value vector.
-	Forward(state []float64, xout *tensor.Matrix) *tensor.Matrix
+	// Forward returns the B×NumBehaviors Q-value matrix for B states and
+	// their B×NumBehaviors action-parameter rows. Rows are independent,
+	// as for XNet.
+	Forward(states [][]float64, xout *tensor.Matrix) *tensor.Matrix
 	// Backward accumulates parameter gradients and returns the gradient
 	// with respect to x_out (needed for the actor loss L3).
 	Backward(d *tensor.Matrix) *tensor.Matrix
 }
+
+// The returned matrices of both networks live in the network's workspace
+// arena and are valid until the same network's next Forward.
 
 // viewInto repoints a caller-owned matrix header at a flat slice, the
 // zero-allocation counterpart of tensor.FromSlice for the hot path. The
@@ -39,23 +47,28 @@ func viewInto(m *tensor.Matrix, rows, cols int, data []float64) *tensor.Matrix {
 	return m
 }
 
-// splitState reshapes a flat augmented state into the h (NumH×FeatDim) and
-// f (NumF×FeatDim) matrix views of the paper's branched processing,
-// repointing the caller's cached headers instead of allocating.
-func splitState(spec StateSpec, state []float64, h, f *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix) {
-	hl := spec.HLen()
-	return viewInto(h, spec.NumH, spec.FeatDim, state[:hl]),
-		viewInto(f, spec.NumF, spec.FeatDim, state[hl:])
+// gatherSplit stacks B augmented states into the h and f block matrices of
+// the branched processing: state e's NumH current-state rows land at rows
+// [e·NumH, (e+1)·NumH) of hAll and its NumF future-state rows at the
+// matching block of fAll.
+func gatherSplit(spec StateSpec, states [][]float64, hAll, fAll *tensor.Matrix) {
+	hl, dim := spec.HLen(), spec.Dim()
+	fl := dim - hl
+	for e, s := range states {
+		if len(s) != dim {
+			panic(fmt.Sprintf("rl: state %d has %d scalars, want %d", e, len(s), dim))
+		}
+		copy(hAll.Data[e*hl:(e+1)*hl], s[:hl])
+		copy(fAll.Data[e*fl:(e+1)*fl], s[hl:])
+	}
 }
 
 // branch is the per-vehicle two-layer ReLU column reducer of Figure 6: it
-// maps an N×FeatDim matrix to a 1×N vector by applying a shared
-// FeatDim→D→1 MLP to every row. Forward output and backward scratch live
-// in a per-instance workspace, valid until the next forward.
+// maps each state's N×FeatDim block to a 1×N vector by applying a shared
+// FeatDim→D→1 MLP to every row.
 type branch struct {
-	seq   *nn.Sequential
-	ws    tensor.Workspace
-	bview tensor.Matrix // forwardBatch reshape header
+	seq         *nn.Sequential
+	view, dview tensor.Matrix // reshape headers
 }
 
 func newBranch(name string, in, hidden int, rng *rand.Rand) *branch {
@@ -86,18 +99,19 @@ func concatParams(groups ...[]*nn.Param) []*nn.Param {
 	return ps
 }
 
-func (b *branch) forward(x *tensor.Matrix) *tensor.Matrix {
-	y := b.seq.Forward(x) // N×1
-	b.ws.Reset()
-	t := b.ws.Get(1, y.Rows)
-	tensor.TransposeInto(t, y)
-	return t
+// forward runs the branch MLP over batch stacked blocks of n rows each and
+// returns a batch×n view of the result: the (batch·n)×1 output column is
+// exactly the row-major layout of one 1×n vector per state, so no
+// transpose is needed.
+func (b *branch) forward(stacked *tensor.Matrix, batch, n int) *tensor.Matrix {
+	y := b.seq.Forward(stacked)
+	return viewInto(&b.view, batch, n, y.Data)
 }
 
+// backward reshapes the batch×n gradient of forward's view back into the
+// (batch·n)×1 column the MLP produced. d must be a contiguous matrix.
 func (b *branch) backward(d *tensor.Matrix) *tensor.Matrix {
-	td := b.ws.Get(d.Cols, 1)
-	tensor.TransposeInto(td, d)
-	return b.seq.Backward(td)
+	return b.seq.Backward(viewInto(&b.dview, d.Rows*d.Cols, 1, d.Data))
 }
 
 // BranchedX is BP-DQN's x network (Figure 6, left): separate computational
@@ -109,7 +123,6 @@ type BranchedX struct {
 	fBranch *branch
 	merge   *nn.Linear
 	tanh    *nn.Tanh
-	h, f    tensor.Matrix // cached state views
 	ws      tensor.Workspace
 	params  []*nn.Param
 }
@@ -142,17 +155,24 @@ func (x *BranchedX) SetBackend(be tensor.Backend) {
 	x.tanh.SetBackend(be)
 }
 
-// Forward implements XNet. The returned matrix lives in the network's
-// workspace and is valid until the next Forward.
-func (x *BranchedX) Forward(state []float64) *tensor.Matrix {
-	h, f := splitState(x.spec, state, &x.h, &x.f)
+// Forward implements XNet.
+func (x *BranchedX) Forward(states [][]float64) *tensor.Matrix {
+	B := len(states)
+	nh, nf := x.spec.NumH, x.spec.NumF
 	x.ws.Reset()
-	hv := x.hBranch.forward(h)
-	fv := x.fBranch.forward(f)
-	cat := x.ws.Get(1, x.spec.NumH+x.spec.NumF)
-	tensor.ConcatColsInto(cat, hv, fv)
+	hAll := x.ws.Get(B*nh, x.spec.FeatDim)
+	fAll := x.ws.Get(B*nf, x.spec.FeatDim)
+	gatherSplit(x.spec, states, hAll, fAll)
+	hv := x.hBranch.forward(hAll, B, nh)
+	fv := x.fBranch.forward(fAll, B, nf)
+	cat := x.ws.Get(B, nh+nf)
+	for e := 0; e < B; e++ {
+		row := cat.Row(e)
+		copy(row[:nh], hv.Row(e))
+		copy(row[nh:], fv.Row(e))
+	}
 	y := x.tanh.Forward(x.merge.Forward(cat))
-	out := x.ws.Get(1, NumBehaviors)
+	out := x.ws.Get(B, NumBehaviors)
 	tensor.ScaleInto(out, y, x.aMax)
 	return out
 }
@@ -163,9 +183,9 @@ func (x *BranchedX) Backward(d *tensor.Matrix) {
 	tensor.ScaleInto(sd, d, x.aMax)
 	dy := x.tanh.Backward(sd)
 	dcat := x.merge.Backward(dy)
-	dh := x.ws.Get(1, x.spec.NumH)
+	dh := x.ws.Get(d.Rows, x.spec.NumH)
 	tensor.SliceColsInto(dh, dcat, 0)
-	df := x.ws.Get(1, x.spec.NumF)
+	df := x.ws.Get(d.Rows, x.spec.NumF)
 	tensor.SliceColsInto(df, dcat, x.spec.NumH)
 	x.hBranch.backward(dh)
 	x.fBranch.backward(df)
@@ -179,7 +199,6 @@ type BranchedQ struct {
 	fBranch *branch
 	xBranch *nn.Sequential
 	merge   *nn.Linear
-	h, f    tensor.Matrix // cached state views
 	ws      tensor.Workspace
 	params  []*nn.Param
 }
@@ -216,29 +235,35 @@ func (q *BranchedQ) SetBackend(be tensor.Backend) {
 	q.merge.SetBackend(be)
 }
 
-// Forward implements QNet. The returned matrix lives in the merge layer's
-// workspace and is valid until the next Forward.
-func (q *BranchedQ) Forward(state []float64, xout *tensor.Matrix) *tensor.Matrix {
-	h, f := splitState(q.spec, state, &q.h, &q.f)
+// Forward implements QNet.
+func (q *BranchedQ) Forward(states [][]float64, xout *tensor.Matrix) *tensor.Matrix {
+	B := len(states)
+	nh, nf := q.spec.NumH, q.spec.NumF
 	q.ws.Reset()
-	hv := q.hBranch.forward(h)
-	fv := q.fBranch.forward(f)
+	hAll := q.ws.Get(B*nh, q.spec.FeatDim)
+	fAll := q.ws.Get(B*nf, q.spec.FeatDim)
+	gatherSplit(q.spec, states, hAll, fAll)
+	hv := q.hBranch.forward(hAll, B, nh)
+	fv := q.fBranch.forward(fAll, B, nf)
 	xv := q.xBranch.Forward(xout)
-	hf := q.ws.Get(1, q.spec.NumH+q.spec.NumF)
-	tensor.ConcatColsInto(hf, hv, fv)
-	cat := q.ws.Get(1, q.spec.NumH+q.spec.NumF+NumBehaviors)
-	tensor.ConcatColsInto(cat, hf, xv)
+	cat := q.ws.Get(B, nh+nf+NumBehaviors)
+	for e := 0; e < B; e++ {
+		row := cat.Row(e)
+		copy(row[:nh], hv.Row(e))
+		copy(row[nh:nh+nf], fv.Row(e))
+		copy(row[nh+nf:], xv.Row(e))
+	}
 	return q.merge.Forward(cat)
 }
 
 // Backward implements QNet.
 func (q *BranchedQ) Backward(d *tensor.Matrix) *tensor.Matrix {
 	dcat := q.merge.Backward(d)
-	dh := q.ws.Get(1, q.spec.NumH)
+	dh := q.ws.Get(d.Rows, q.spec.NumH)
 	tensor.SliceColsInto(dh, dcat, 0)
-	df := q.ws.Get(1, q.spec.NumF)
+	df := q.ws.Get(d.Rows, q.spec.NumF)
 	tensor.SliceColsInto(df, dcat, q.spec.NumH)
-	dx := q.ws.Get(1, NumBehaviors)
+	dx := q.ws.Get(d.Rows, NumBehaviors)
 	tensor.SliceColsInto(dx, dcat, q.spec.NumH+q.spec.NumF)
 	q.hBranch.backward(dh)
 	q.fBranch.backward(df)
@@ -253,7 +278,6 @@ type SharedX struct {
 	aMax float64
 	mlp  *nn.Sequential
 	tanh *nn.Tanh
-	in   tensor.Matrix // cached state view
 	ws   tensor.Workspace
 }
 
@@ -282,13 +306,19 @@ func (x *SharedX) SetBackend(be tensor.Backend) {
 	x.tanh.SetBackend(be)
 }
 
-// Forward implements XNet. The returned matrix lives in the network's
-// workspace and is valid until the next Forward.
-func (x *SharedX) Forward(state []float64) *tensor.Matrix {
-	in := viewInto(&x.in, 1, len(state), state)
+// Forward implements XNet.
+func (x *SharedX) Forward(states [][]float64) *tensor.Matrix {
+	B := len(states)
 	x.ws.Reset()
+	in := x.ws.Get(B, x.spec.Dim())
+	for e, s := range states {
+		if len(s) != x.spec.Dim() {
+			panic(fmt.Sprintf("rl: state %d has %d scalars, want %d", e, len(s), x.spec.Dim()))
+		}
+		copy(in.Row(e), s)
+	}
 	y := x.tanh.Forward(x.mlp.Forward(in))
-	out := x.ws.Get(1, NumBehaviors)
+	out := x.ws.Get(B, NumBehaviors)
 	tensor.ScaleInto(out, y, x.aMax)
 	return out
 }
@@ -328,20 +358,23 @@ func (q *SharedQ) Params() []*nn.Param { return q.mlp.Params() }
 // SetBackend routes the MLP products through be.
 func (q *SharedQ) SetBackend(be tensor.Backend) { q.mlp.SetBackend(be) }
 
-// Forward implements QNet. The returned matrix lives in the final layer's
-// workspace and is valid until the next Forward.
-func (q *SharedQ) Forward(state []float64, xout *tensor.Matrix) *tensor.Matrix {
+// Forward implements QNet.
+func (q *SharedQ) Forward(states [][]float64, xout *tensor.Matrix) *tensor.Matrix {
+	B := len(states)
 	q.ws.Reset()
-	in := q.ws.Get(1, len(state)+NumBehaviors)
-	copy(in.Data[:len(state)], state)
-	copy(in.Data[len(state):], xout.Data)
+	in := q.ws.Get(B, q.spec.Dim()+NumBehaviors)
+	for e, s := range states {
+		row := in.Row(e)
+		copy(row[:len(s)], s)
+		copy(row[len(s):], xout.Row(e))
+	}
 	return q.mlp.Forward(in)
 }
 
 // Backward implements QNet.
 func (q *SharedQ) Backward(d *tensor.Matrix) *tensor.Matrix {
 	din := q.mlp.Backward(d)
-	dx := q.ws.Get(1, NumBehaviors)
+	dx := q.ws.Get(din.Rows, NumBehaviors)
 	tensor.SliceColsInto(dx, din, din.Cols-NumBehaviors)
 	return dx
 }

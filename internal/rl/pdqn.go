@@ -80,9 +80,11 @@ type PDQN struct {
 	lastLoss   float64
 	trace      *span.Lane
 
-	// steady-state scratch: the action-parameter buffer returned via
-	// Action.Raw (valid until the next Act; replay Push deep-copies it),
-	// cached matrix headers, and train-step batch storage.
+	// steady-state scratch: the one-state batch that Act and the
+	// per-sample training loops pass to the networks, the action-parameter
+	// buffer returned via Action.Raw (valid until the next Act; replay Push
+	// deep-copies it), cached matrix headers, and train-step batch storage.
+	one        [1][]float64
 	rawBuf     []float64
 	rawMat     tensor.Matrix
 	sampleRaw  tensor.Matrix
@@ -92,14 +94,14 @@ type PDQN struct {
 	perWeights []float64
 	tdErrs     []float64
 
-	// batched execution engine state: batch width (≤ 1 disables), the
-	// action-parameter arena backing SelectActionBatch results, target-y
-	// scratch, and the replay prefetch pipeline (lazily started).
+	// batched execution engine state: batch width (≤ 1 disables the
+	// replay prefetch), the action-parameter arena backing
+	// SelectActionBatch results, target-y scratch, and the replay prefetch
+	// pipeline (lazily started).
 	batchEnvs   int
 	batchRaw    []float64
 	batchRawMat tensor.Matrix
 	ys          []float64
-	nextStates  [][]float64
 	sampleIdx   []int
 	pf          *prefetcher
 }
@@ -210,7 +212,8 @@ func (p *PDQN) Params() []*nn.Param {
 // with ε-greedy behavior exploration and Gaussian acceleration noise
 // during training.
 func (p *PDQN) Act(state []float64, explore bool) Action {
-	xout := p.x.Forward(state)
+	p.one[0] = state
+	xout := p.x.Forward(p.one[:])
 	raw := growFloats(p.rawBuf, NumBehaviors)
 	p.rawBuf = raw
 	copy(raw, xout.Data)
@@ -231,7 +234,7 @@ func (p *PDQN) Act(state []float64, explore bool) Action {
 		b = p.rng.Intn(NumBehaviors)
 	} else {
 		noisy := viewInto(&p.rawMat, 1, NumBehaviors, raw)
-		qv := p.qn.Forward(state, noisy)
+		qv := p.qn.Forward(p.one[:], noisy)
 		b = qv.ArgmaxRow(0)
 	}
 	return Action{B: b, A: raw[b], Raw: raw}
@@ -282,7 +285,7 @@ func (p *PDQN) trainStep() {
 		// deep-copy the minibatch into the idle double buffer while this
 		// goroutine clears gradients and grows scratch. The gathered batch
 		// holds the same floats the aliasing SampleInto would have served,
-		// so training is bit-identical to the serial path.
+		// so training is bit-identical to the unprefetched path.
 		rs := p.trace.Start("replay_sample")
 		p.sampleIdx = p.buf.SampleIndicesInto(p.sampleIdx, p.cfg.BatchSize, p.rng)
 		rs.End()
@@ -332,7 +335,8 @@ func (p *PDQN) trainStep() {
 		for k, tr := range batch {
 			y := ys[k]
 			raw := viewInto(&p.sampleRaw, 1, NumBehaviors, tr.Action.Raw)
-			qv := p.qn.Forward(tr.State, raw)
+			p.one[0] = tr.State
+			qv := p.qn.Forward(p.one[:], raw)
 			diff := qv.At(0, tr.Action.B) - y
 			tdErrs[k] = diff
 			sqErr += diff * diff
@@ -356,8 +360,9 @@ func (p *PDQN) trainStep() {
 		nn.ZeroGrads(p.x)
 		nn.ZeroGrads(p.qn)
 		for _, tr := range batch {
-			xout := p.x.Forward(tr.State)
-			p.qn.Forward(tr.State, xout)
+			p.one[0] = tr.State
+			xout := p.x.Forward(p.one[:])
+			p.qn.Forward(p.one[:], xout)
 			// L3 = −Σ_b Q_b ⇒ dL3/dQ = −1 for every output.
 			d.Fill(-1 / float64(len(batch)))
 			dx := p.qn.Backward(d)

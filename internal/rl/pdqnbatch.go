@@ -2,8 +2,8 @@ package rl
 
 // Batched execution engine entry points of the agent: greedy action
 // selection over several environments in one pair of network forwards, the
-// batch-envs switch that also enables the training-side mechanisms
-// (batched target evaluation and replay prefetch), and ordered shutdown.
+// batch-envs switch that enables the replay prefetch, and ordered
+// shutdown.
 
 // BatchAgent is an agent that can select greedy actions for several
 // environments in one batched forward pass.
@@ -18,18 +18,17 @@ type BatchAgent interface {
 // dependent machinery to enable and shut down.
 type BatchConfigurable interface {
 	// SetBatchEnvs declares how many environments feed the agent; > 1
-	// enables the batched training mechanisms.
+	// enables the batched training machinery.
 	SetBatchEnvs(n int)
 	// Close releases background resources (idempotent).
 	Close()
 }
 
 // SelectActionBatch implements BatchAgent: the greedy policy of
-// Act(state, false) evaluated for all states in one batched x forward and
-// one batched Q forward. Row i of the result is bit-identical to the
-// serial greedy Act on states[i] — the batch forwards stack rows through
-// the row-blocked kernels without changing any per-row arithmetic — and
-// no rng is consumed, so interleaving batched and serial selection cannot
+// Act(state, false) evaluated for all states in one x forward and one Q
+// forward. Row i of the result is bit-identical to the greedy Act on
+// states[i] — Act is the same forward pair over a batch of one — and no
+// rng is consumed, so interleaving batched and single selection cannot
 // perturb a seeded run.
 //
 // The returned Action.Raw slices alias one agent-owned arena and stay
@@ -40,24 +39,10 @@ func (p *PDQN) SelectActionBatch(states [][]float64, out []Action) {
 		panic("rl: SelectActionBatch out shorter than states")
 	}
 	p.batchRaw = growFloats(p.batchRaw, len(states)*NumBehaviors)
-	bx, okx := p.x.(BatchXNet)
-	bq, okq := p.qn.(BatchQNet)
-	if !okx || !okq {
-		// Non-batchable networks: serial greedy selection, with Raw moved
-		// into the batch arena (Act reuses one shared raw buffer).
-		for i, s := range states {
-			a := p.Act(s, false)
-			raw := p.batchRaw[i*NumBehaviors : (i+1)*NumBehaviors]
-			copy(raw, a.Raw)
-			a.Raw = raw
-			out[i] = a
-		}
-		return
-	}
-	xout := bx.ForwardBatch(states)
+	xout := p.x.Forward(states)
 	copy(p.batchRaw, xout.Data)
 	rawView := viewInto(&p.batchRawMat, len(states), NumBehaviors, p.batchRaw)
-	qv := bq.ForwardBatch(states, rawView)
+	qv := p.qn.Forward(states, rawView)
 	for i := range states {
 		b := qv.ArgmaxRow(i)
 		raw := p.batchRaw[i*NumBehaviors : (i+1)*NumBehaviors]
@@ -65,12 +50,10 @@ func (p *PDQN) SelectActionBatch(states [][]float64, out []Action) {
 	}
 }
 
-// SetBatchEnvs implements BatchConfigurable. A width above one turns on
-// the training-side batch machinery: the target networks evaluate the
-// whole minibatch in one batched forward pair, and uniform-replay
-// sampling runs through the double-buffered prefetch pipeline. Both are
-// bit-neutral — they reorder independent work, never arithmetic or rng
-// draws — so checkpoints match a width-1 run exactly.
+// SetBatchEnvs implements BatchConfigurable. A width above one runs
+// uniform-replay sampling through the double-buffered prefetch pipeline.
+// It is bit-neutral — it reorders independent work, never arithmetic or
+// rng draws — so checkpoints match a width-1 run exactly.
 func (p *PDQN) SetBatchEnvs(n int) {
 	if n < 1 {
 		n = 1
@@ -101,52 +84,20 @@ func (p *PDQN) Close() {
 }
 
 // targetValues fills p.ys with the TD targets y = r + γ·max_b Q_T of
-// Equation (22) for the whole minibatch. With batch-envs > 1 and batchable
-// target networks, all non-terminal next states evaluate in one batched
-// forward pair; otherwise each evaluates serially. Both paths produce
-// bit-identical targets: the target networks share no state with the
-// online ones, so hoisting their forwards ahead of the update loop moves
-// only independent reads, and the batched rows equal the serial forwards
-// bit-for-bit.
+// Equation (22) for the whole minibatch. Each non-terminal next state runs
+// through the target networks as a batch of one: one forward over all of
+// them would give the same floats, but their count varies per minibatch and
+// every distinct row count leaves its own set of workspace buffers behind,
+// which multiplies the agent's resident memory during training.
 func (p *PDQN) targetValues(batch []Transition) []float64 {
 	p.ys = growFloats(p.ys, len(batch))
 	ys := p.ys
-	bx, okx := p.xT.(BatchXNet)
-	bq, okq := p.qT.(BatchQNet)
-	if p.batchEnvs > 1 && okx && okq {
-		p.nextStates = p.nextStates[:0]
-		for _, tr := range batch {
-			if !tr.Done {
-				p.nextStates = append(p.nextStates, tr.Next)
-			}
-		}
-		if len(p.nextStates) == 0 {
-			for k, tr := range batch {
-				ys[k] = tr.Reward
-			}
-			return ys
-		}
-		xN := bx.ForwardBatch(p.nextStates)
-		qN := bq.ForwardBatch(p.nextStates, xN)
-		row := 0
-		for k, tr := range batch {
-			y := tr.Reward
-			if !tr.Done {
-				best := qN.ArgmaxRow(row)
-				y += p.cfg.Gamma * qN.At(row, best)
-				row++
-			}
-			ys[k] = y
-		}
-		return ys
-	}
 	for k, tr := range batch {
 		y := tr.Reward
 		if !tr.Done {
-			xNext := p.xT.Forward(tr.Next)
-			qNext := p.qT.Forward(tr.Next, xNext)
-			best := qNext.ArgmaxRow(0)
-			y += p.cfg.Gamma * qNext.At(0, best)
+			p.one[0] = tr.Next
+			qN := p.qT.Forward(p.one[:], p.xT.Forward(p.one[:]))
+			y += p.cfg.Gamma * qN.At(0, qN.ArgmaxRow(0))
 		}
 		ys[k] = y
 	}

@@ -113,9 +113,9 @@ type Instrumentation struct {
 	// span.Traceable are attached to it for the duration of the run. Like
 	// the other sinks it is strictly out of band.
 	Trace *span.Lane
-	// BatchEnvs > 1 enables the agent's out-of-band batch mechanisms for
-	// the run (BatchConfigurable: batched target-network evaluation and the
-	// replay prefetch pipeline). Like the sinks it never changes results —
+	// BatchEnvs > 1 enables the agent's out-of-band batch mechanism for
+	// the run (BatchConfigurable: the replay prefetch pipeline). Like the
+	// sinks it never changes results —
 	// checkpoints are bit-identical for every value, which the rl batch
 	// tests and the experiments golden test gate.
 	BatchEnvs int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,6 +281,17 @@ func TestValidate(t *testing.T) {
 	crowded := &Observation{Frames: []Frame{{Vehicles: make([]Vehicle, MaxVehiclesPerFrame+1)}}}
 	if err := crowded.Validate(1); err == nil {
 		t.Error("over-crowded frame accepted")
+	}
+	for name, f := range map[string]Frame{
+		"NaN AV lon":       {AV: world.State{Lon: math.NaN()}},
+		"+Inf AV speed":    {AV: world.State{V: math.Inf(1)}},
+		"-Inf vehicle lon": {Vehicles: []Vehicle{{ID: 3, State: world.State{Lon: math.Inf(-1)}}}},
+		"NaN vehicle V":    {Vehicles: []Vehicle{{ID: 3, State: world.State{V: math.NaN()}}}},
+		"duplicate id":     {Vehicles: []Vehicle{{ID: 3}, {ID: 4}, {ID: 3}}},
+	} {
+		if err := (&Observation{Frames: []Frame{f}}).Validate(1); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	if s := fmt.Sprint(Decision{Behavior: 2, BehaviorName: "lk"}.Maneuver()); s == "" {
 		t.Error("empty maneuver string")

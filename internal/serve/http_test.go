@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"head/internal/obs"
 	"head/internal/obs/span"
+	"head/internal/world"
 )
 
 func postDecide(t *testing.T, url string, body []byte) (*http.Response, []byte) {
@@ -26,6 +28,16 @@ func postDecide(t *testing.T, url string, body []byte) (*http.Response, []byte) 
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
+}
+
+// wantRejected fails unless resp is a 400 whose JSON error body carries a
+// request id.
+func wantRejected(t *testing.T, what string, resp *http.Response, out []byte) {
+	t.Helper()
+	var e errorResponse
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil || e.RequestID == "" {
+		t.Errorf("%s: status %d body %s, want a 400 JSON error with a request id", what, resp.StatusCode, out)
+	}
 }
 
 func TestHTTPDecide(t *testing.T) {
@@ -102,6 +114,13 @@ func TestHTTPDecide(t *testing.T) {
 	if resp, out := postDecide(t, srv.URL, bad); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("3-frame observation: status %d, body %s", resp.StatusCode, out)
 	}
+
+	// A vehicle ID repeated within one frame → 400.
+	dup := mark(7)
+	dup.Frames[0].Vehicles = []Vehicle{{ID: 5}, {ID: 5}}
+	dupBody, _ := json.Marshal(dup)
+	resp, out = postDecide(t, srv.URL, dupBody)
+	wantRejected(t, "JSON duplicate vehicle id", resp, out)
 
 	// Malformed JSON → 400.
 	if resp, _ := postDecide(t, srv.URL, []byte("{not json")); resp.StatusCode != http.StatusBadRequest {
@@ -430,6 +449,18 @@ func TestHTTPBinaryWire(t *testing.T) {
 	if resp, _ := postWire(t, srv.URL, AppendFull(nil, nil, wireTestFrames(3)), false); resp.StatusCode != http.StatusBadRequest {
 		t.Error("3-frame binary snapshot accepted against z=1")
 	}
+	// Non-finite states are rejected on the binary wire, full or spliced.
+	nan := mark(7).Frames
+	nan[0].AV.Lon = math.NaN()
+	resp, out = postWire(t, srv.URL, AppendFull(nil, nil, nan), true)
+	wantRejected(t, "binary NaN AV state", resp, out)
+	if resp, out := postWire(t, srv.URL, AppendFull(nil, []byte("veh-3"), frames), false); resp.StatusCode != http.StatusOK {
+		t.Fatalf("session veh-3: status %d body %s", resp.StatusCode, out)
+	}
+	inf := mark(8).Frames
+	inf[0].Vehicles = []Vehicle{{ID: 2, State: world.State{V: math.Inf(1)}}}
+	resp, out = postWire(t, srv.URL, AppendDelta(nil, []byte("veh-3"), HashFrames(frames), inf), true)
+	wantRejected(t, "delta +Inf vehicle speed", resp, out)
 
 	// The session cache surfaces in /healthz.
 	hresp, err := http.Get(srv.URL + "/healthz")

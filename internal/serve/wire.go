@@ -20,6 +20,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"head/internal/sensor"
@@ -78,8 +79,12 @@ func Snapshot(frames []sensor.Frame) Observation {
 }
 
 // Validate checks an observation against the service's perception
-// geometry: exactly z frames (the LST-GAT history length every replica in
-// a flush batch must agree on) and a bounded vehicle count per frame.
+// geometry and rejects values the model must not compute on: exactly z
+// frames (the LST-GAT history length every replica in a flush batch must
+// agree on), a bounded vehicle count per frame, finite AV and vehicle
+// states (the binary wires can carry NaN and ±Inf), and no vehicle ID
+// twice in one frame (a frame is a map from ID to state; a repeat would
+// silently drop one of the two states).
 func (o *Observation) Validate(z int) error {
 	if len(o.Frames) != z {
 		return fmt.Errorf("serve: observation has %d frames, service expects exactly %d", len(o.Frames), z)
@@ -88,8 +93,26 @@ func (o *Observation) Validate(z int) error {
 		if len(f.Vehicles) > MaxVehiclesPerFrame {
 			return fmt.Errorf("serve: frame %d has %d vehicles (max %d)", i, len(f.Vehicles), MaxVehiclesPerFrame)
 		}
+		if !finite(f.AV) {
+			return fmt.Errorf("serve: frame %d AV state is not finite (lon %v, v %v)", i, f.AV.Lon, f.AV.V)
+		}
+		for k, v := range f.Vehicles {
+			if !finite(v.State) {
+				return fmt.Errorf("serve: frame %d vehicle %d state is not finite (lon %v, v %v)", i, v.ID, v.State.Lon, v.State.V)
+			}
+			for _, prev := range f.Vehicles[:k] {
+				if prev.ID == v.ID {
+					return fmt.Errorf("serve: frame %d repeats vehicle %d", i, v.ID)
+				}
+			}
+		}
 	}
 	return nil
+}
+
+// finite reports whether both float fields of s are finite.
+func finite(s world.State) bool {
+	return !math.IsNaN(s.Lon) && !math.IsInf(s.Lon, 0) && !math.IsNaN(s.V) && !math.IsInf(s.V, 0)
 }
 
 // Decision is the served maneuver: the discrete behavior, the executed

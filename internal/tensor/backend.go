@@ -6,20 +6,21 @@ import (
 )
 
 // Backend is the swappable compute core behind the nn forward passes: the
-// matmul family, the tanh activation, and the layout ops the layers route
-// through it. Weight-side operands arrive as *Weights handles so a backend
-// can compute against whichever cached view (f64 transpose, f32 mirror)
-// its kernels want; activations stay float64 Matrix at the seam — the
-// interchange type between layers — and a backend stages them into its own
-// element type internally, drawing scratch from the caller's Workspace.
+// matmul family and the tanh activation. Every product takes any number
+// of activation rows — a one-row call is just a batch of one — and row e
+// of a B-row product is bit-identical to the one-row product of row e.
+// Weight-side operands arrive as *Weights handles so a backend can compute
+// against whichever cached view (f64 transpose, f32 mirror) its kernels
+// want; activations stay float64 Matrix at the seam — the interchange type
+// between layers — and a backend stages them into its own element type
+// internally, drawing scratch from the caller's Workspace.
 //
 // Two backends ship:
 //
-//   - F64 replays today's float64 kernels. Serial methods reproduce the
-//     legacy kernel sequences exactly and batch methods use the dot-kernel
-//     family against cached transposes — both bit-identical to the
-//     pre-backend code, pinned by the golden tests.
-//   - F32 stages activations to float32, computes with the blocked f32 dot
+//   - F64 runs the float64 dot kernels in dot.go against each Weights
+//     handle's cached transpose, bit-identical to the MatMulInto reference
+//     sequences and pinned by the golden tests.
+//   - F32 stages activations to float32, computes with the f32 dot
 //     kernels in into32.go against cached f32 weight mirrors, and widens
 //     results back to float64 (exactly — every float32 is representable).
 //     Gated by the Table I/III tolerance fences and the benchcheck
@@ -35,31 +36,16 @@ type Backend interface {
 	// config hashes: "f64" or "f32".
 	Name() string
 
-	// MatMul writes a·w into dst — the serial product (GAT per-step path).
+	// MatMul writes a·w into dst (the GAT node transforms).
 	MatMul(ws *Workspace, dst, a *Matrix, w *Weights)
-	// MatMulAddBias writes a·w + bias into dst — the serial Linear forward.
+	// MatMulAddBias writes a·w + bias into dst (the Linear forward).
 	MatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights)
-	// LSTMPreact writes x·wx + h·wh + bias into z — one serial LSTM step.
+	// LSTMPreact writes x·wx + h·wh + bias into z (one LSTM step).
 	LSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights)
-
-	// BatchMatMul, BatchMatMulAddBias and BatchLSTMPreact are the batched
-	// (dot-kernel) counterparts, used by the ForwardBatch paths.
-	BatchMatMul(ws *Workspace, dst, a *Matrix, w *Weights)
-	BatchMatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights)
-	BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights)
-	// MatMulParallel is BatchMatMul with row tiles fanned out over at most
-	// workers goroutines (the GAT multi-worker path).
-	MatMulParallel(ws *Workspace, dst, a *Matrix, w *Weights, workers int)
 
 	// Tanh writes the element-wise tanh of a into dst at the backend's
 	// precision. dst may alias a.
 	Tanh(dst, a *Matrix)
-
-	// Layout ops route through the backend so arena and copy traffic can
-	// follow the element type; both shipped backends move float64.
-	Scale(dst, a *Matrix, s float64)
-	ConcatCols(dst, a, b *Matrix)
-	SliceCols(dst, a *Matrix, lo int)
 }
 
 // F64 is the float64 backend — the golden, bit-identity reference.
@@ -93,68 +79,29 @@ func MustLookup(name string) Backend {
 	return be
 }
 
-// layoutOps holds the element-type-neutral layout kernels both backends
-// share: pure float64 data movement on the interchange matrices.
-type layoutOps struct{}
-
-func (layoutOps) Scale(dst, a *Matrix, s float64) { ScaleInto(dst, a, s) }
-func (layoutOps) ConcatCols(dst, a, b *Matrix)    { ConcatColsInto(dst, a, b) }
-func (layoutOps) SliceCols(dst, a *Matrix, lo int) {
-	SliceColsInto(dst, a, lo)
-}
-
 // --- float64 backend ---
 
-type f64Backend struct{ layoutOps }
+type f64Backend struct{}
 
 func (f64Backend) Name() string { return "f64" }
 
 func (f64Backend) MatMul(ws *Workspace, dst, a *Matrix, w *Weights) {
-	MatMulInto(dst, a, w.Mat())
-}
-
-func (f64Backend) MatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights) {
-	MatMulAddBiasInto(dst, a, w.Mat(), bias.Mat())
-}
-
-// LSTMPreact replays the legacy serial step exactly: two strided products
-// into separate accumulators, an element add, then the broadcast bias —
-// the same kernel sequence (and therefore the same floats) as before the
-// backend seam existed.
-func (f64Backend) LSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
-	MatMulInto(z, x, wx.Mat())
-	zh := ws.Get(h.Rows, wh.Mat().Cols)
-	MatMulInto(zh, h, wh.Mat())
-	AddInPlace(z, zh)
-	for i := 0; i < z.Rows; i++ {
-		row := z.Row(i)
-		for j, bv := range bias.Mat().Data {
-			row[j] += bv
-		}
-	}
-}
-
-func (f64Backend) BatchMatMul(ws *Workspace, dst, a *Matrix, w *Weights) {
 	MatMulDotInto(dst, a, w.T())
 }
 
-func (f64Backend) BatchMatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights) {
+func (f64Backend) MatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights) {
 	MatMulAddBiasDotInto(dst, a, w.T(), bias.Mat())
 }
 
-func (f64Backend) BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
+func (f64Backend) LSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
 	MatMulDualAddBiasDotInto(z, x, wx.T(), h, wh.T(), bias.Mat())
-}
-
-func (f64Backend) MatMulParallel(ws *Workspace, dst, a *Matrix, w *Weights, workers int) {
-	MatMulParallelInto(dst, a, w.Mat(), workers)
 }
 
 func (f64Backend) Tanh(dst, a *Matrix) { TanhInto(dst, a) }
 
 // --- float32 backend ---
 
-type f32Backend struct{ layoutOps }
+type f32Backend struct{}
 
 func (f32Backend) Name() string { return "f32" }
 
@@ -185,27 +132,6 @@ func (f32Backend) LSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix
 	z32 := ws.Get32(z.Rows, z.Cols)
 	MatMulDualAddBiasDot32Into(z32, x32, wx.T32(), h32, wh.T32(), bias.M32())
 	Widen(z, z32)
-}
-
-// The f32 batch methods are the serial methods: the dot kernels already
-// are the batched form, and staging cost is linear either way.
-func (b f32Backend) BatchMatMul(ws *Workspace, dst, a *Matrix, w *Weights) {
-	b.MatMul(ws, dst, a, w)
-}
-
-func (b f32Backend) BatchMatMulAddBias(ws *Workspace, dst, a *Matrix, w, bias *Weights) {
-	b.MatMulAddBias(ws, dst, a, w, bias)
-}
-
-func (b f32Backend) BatchLSTMPreact(ws *Workspace, z, x *Matrix, wx *Weights, h *Matrix, wh, bias *Weights) {
-	b.LSTMPreact(ws, z, x, wx, h, wh, bias)
-}
-
-func (f32Backend) MatMulParallel(ws *Workspace, dst, a *Matrix, w *Weights, workers int) {
-	a32 := stage32(ws, a)
-	d32 := ws.Get32(dst.Rows, dst.Cols)
-	MatMulDotParallel32Into(d32, a32, w.T32(), workers)
-	Widen(dst, d32)
 }
 
 // Tanh narrows each input to float32, evaluates tanh, and rounds the

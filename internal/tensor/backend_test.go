@@ -31,8 +31,8 @@ func TestBackendLookup(t *testing.T) {
 }
 
 // TestBackendF64BitIdentity pins the golden-path contract: every F64
-// backend method must reproduce the exact legacy kernel sequence it
-// replaced, bit for bit.
+// backend method must reproduce the exact MatMulInto reference sequence,
+// bit for bit, at any row count.
 func TestBackendF64BitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var ws Workspace
@@ -60,26 +60,8 @@ func TestBackendF64BitIdentity(t *testing.T) {
 			t.Fatalf("trial %d: F64.MatMulAddBias diverges from MatMulAddBiasInto", trial)
 		}
 
-		F64.BatchMatMul(&ws, got, x, w)
-		MatMulInto(want, x, wMat)
-		if !bitsEqual(got, want) {
-			t.Fatalf("trial %d: F64.BatchMatMul diverges from MatMulInto", trial)
-		}
-
-		F64.BatchMatMulAddBias(&ws, got, x, w, b)
-		MatMulAddBiasInto(want, x, wMat, bMat)
-		if !bitsEqual(got, want) {
-			t.Fatalf("trial %d: F64.BatchMatMulAddBias diverges from MatMulAddBiasInto", trial)
-		}
-
-		F64.MatMulParallel(&ws, got, x, w, 3)
-		MatMulInto(want, x, wMat)
-		if !bitsEqual(got, want) {
-			t.Fatalf("trial %d: F64.MatMulParallel diverges from MatMulInto", trial)
-		}
-
-		// LSTM pre-activation: serial and batch forms against the legacy
-		// MatMulInto + AddInPlace + bias sequence.
+		// LSTM pre-activation against the MatMulInto + AddInPlace + bias
+		// sequence.
 		h := randMat(rng, r, k)
 		whMat := randMat(rng, k, c)
 		wh := NewWeights(whMat)
@@ -98,11 +80,7 @@ func TestBackendF64BitIdentity(t *testing.T) {
 		gotZ := New(r, c)
 		F64.LSTMPreact(&ws, gotZ, x, w, h, wh, b)
 		if !bitsEqual(gotZ, wantZ) {
-			t.Fatalf("trial %d: F64.LSTMPreact diverges from legacy step sequence", trial)
-		}
-		F64.BatchLSTMPreact(&ws, gotZ, x, w, h, wh, b)
-		if !bitsEqual(gotZ, wantZ) {
-			t.Fatalf("trial %d: F64.BatchLSTMPreact diverges from legacy step sequence", trial)
+			t.Fatalf("trial %d: F64.LSTMPreact diverges from the reference step sequence", trial)
 		}
 
 		F64.Tanh(got, wantZ)
@@ -114,8 +92,8 @@ func TestBackendF64BitIdentity(t *testing.T) {
 }
 
 // TestBackendF32Tolerance checks the f32 backend tracks the f64 results to
-// float32-level relative error on well-conditioned inputs, and that its
-// serial/batch/parallel variants agree with each other bit-for-bit.
+// float32-level relative error on well-conditioned inputs, and that row e
+// of a B-row f32 product is bit-identical to the one-row product of row e.
 func TestBackendF32Tolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var ws Workspace
@@ -154,32 +132,12 @@ func TestBackendF32Tolerance(t *testing.T) {
 			t.Fatalf("trial %d: f32 MatMulAddBias rel err %g > %g", trial, e, rtol)
 		}
 
-		batch := New(r, c)
-		F32.BatchMatMulAddBias(&ws, batch, x, w, b)
-		if !bitsEqual(batch, f32out) {
-			t.Fatalf("trial %d: f32 serial and batch MatMulAddBias disagree", trial)
-		}
-	}
-}
-
-// TestBackendF32ParallelIdentity checks the f32 parallel product is
-// bit-identical to the f32 serial product for every worker count.
-func TestBackendF32ParallelIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var ws Workspace
-	x := New(13, 17)
-	x.RandUniform(rng, 1)
-	wMat := New(17, 11)
-	wMat.RandUniform(rng, 1)
-	w := NewWeights(wMat)
-	ws.Reset()
-	serial := New(13, 11)
-	F32.MatMul(&ws, serial, x, w)
-	for workers := 1; workers <= 6; workers++ {
-		got := New(13, 11)
-		F32.MatMulParallel(&ws, got, x, w, workers)
-		if !bitsEqual(got, serial) {
-			t.Fatalf("f32 parallel product diverges from serial at %d workers", workers)
+		for e := 0; e < r; e++ {
+			one := New(1, c)
+			F32.MatMulAddBias(&ws, one, FromSlice(1, k, x.Row(e)), w, b)
+			if !bitsEqual(one, FromSlice(1, c, f32out.Row(e))) {
+				t.Fatalf("trial %d: f32 row %d of a %d-row product differs from the one-row product", trial, e, r)
+			}
 		}
 	}
 }

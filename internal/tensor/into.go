@@ -20,7 +20,7 @@ import (
 // any input (dst == a, dst == b, or both).
 //
 // Product and layout kernels (MatMulInto, MatMulTransAInto,
-// MatMulTransBInto, MatMulAddBiasInto, MatMulSparseInto, TransposeInto,
+// MatMulTransBInto, MatMulAddBiasInto, TransposeInto,
 // ConcatColsInto, SliceColsInto) read inputs while writing dst, so dst must
 // not alias an input. Full aliasing (shared first element) panics; partial
 // overlap of distinct allocations is undetectable and undefined.
@@ -149,36 +149,6 @@ func MatMulInto(dst, a, b *Matrix) {
 		arow := a.Row(i)
 		orow := dst.Row(i)
 		for k, av := range arow {
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulSparseInto is MatMulInto with the zero-operand fast path: products
-// with a[i][k] == 0 are skipped entirely. On finite inputs the result is
-// bit-identical to MatMulInto (adding ±0 products never flips the
-// accumulator, which starts at +0), but the skip suppresses NaN/Inf
-// propagation — 0·NaN is never formed — so this kernel is only safe where
-// both operands are provably finite, e.g. products against sparse one-hot
-// selectors built by the caller.
-func MatMulSparseInto(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulSparseInto inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkShape("MatMulSparseInto", dst, a.Rows, b.Cols)
-	noAlias("MatMulSparseInto", dst, a)
-	noAlias("MatMulSparseInto", dst, b)
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
 			brow := b.Row(k)
 			for j, bv := range brow {
 				orow[j] += av * bv

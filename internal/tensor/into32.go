@@ -1,16 +1,13 @@
 package tensor
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"head/internal/parallel"
 )
 
 // This file holds the float32 members of the dot-kernel family — the
 // compute core of the f32 backend. They mirror the float64 kernels in
-// blocked.go exactly: weight operands arrive pre-transposed so every dst
+// dot.go exactly: weight operands arrive pre-transposed so every dst
 // element is a dot product of two contiguous rows, column blocks are the
 // outer loop so a block's weight rows stay L1-hot across all batch rows,
 // and each element's products accumulate in ascending-k order from a +0
@@ -18,19 +15,25 @@ import (
 //
 // Unlike the float64 family there is no bit-identity contract against a
 // reference kernel — f32 results are gated by the Table I/III tolerance
-// fences in internal/experiments — but the kernels are still deterministic:
-// the row-tiled parallel variant splits rows only, never the k axis, so
-// results are bit-identical across worker counts.
+// fences in internal/experiments — but the kernels are still deterministic,
+// and row e of a B-row product is bit-identical to the one-row product.
 //
 // All float32 loops are written against contiguous slices with small
 // fixed-width accumulator blocks, the shape Go's compiler lowers to packed
 // loads where the target supports it; even fully scalar, halved element
 // size means halved memory traffic through the same cache hierarchy.
 
-// matMulDot32Rows computes dst rows [i0, i1) of a·btᵀ with 6/4/1-wide
-// column blocks. Shapes must already be validated by the caller.
-func matMulDot32Rows(dst, a, bt *Matrix32, i0, i1 int) {
+// MatMulDot32Into computes dst = a·b with the second operand pre-transposed
+// (bt is bᵀ), in float32. dst must not alias an input.
+func MatMulDot32Into(dst, a, bt *Matrix32) {
+	if a.Cols != bt.Cols {
+		panic(fmt.Sprintf("tensor: MatMulDot32Into inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, bt.Rows, bt.Cols))
+	}
+	checkShape32("MatMulDot32Into", dst, a.Rows, bt.Rows)
+	noAlias32("MatMulDot32Into", dst, a)
+	noAlias32("MatMulDot32Into", dst, bt)
 	k, c := a.Cols, bt.Rows
+	rows := a.Rows
 	j := 0
 	for ; j+6 <= c; j += 6 {
 		c0 := bt.Row(j)[:k]
@@ -39,7 +42,7 @@ func matMulDot32Rows(dst, a, bt *Matrix32, i0, i1 int) {
 		c3 := bt.Row(j + 3)[:k]
 		c4 := bt.Row(j + 4)[:k]
 		c5 := bt.Row(j + 5)[:k]
-		for i := i0; i < i1; i++ {
+		for i := 0; i < rows; i++ {
 			arow := a.Row(i)[:k]
 			var s0, s1, s2, s3, s4, s5 float32
 			for kk, av := range arow {
@@ -60,7 +63,7 @@ func matMulDot32Rows(dst, a, bt *Matrix32, i0, i1 int) {
 		c1 := bt.Row(j + 1)[:k]
 		c2 := bt.Row(j + 2)[:k]
 		c3 := bt.Row(j + 3)[:k]
-		for i := i0; i < i1; i++ {
+		for i := 0; i < rows; i++ {
 			arow := a.Row(i)[:k]
 			var s0, s1, s2, s3 float32
 			for kk, av := range arow {
@@ -75,7 +78,7 @@ func matMulDot32Rows(dst, a, bt *Matrix32, i0, i1 int) {
 	}
 	for ; j < c; j++ {
 		c0 := bt.Row(j)[:k]
-		for i := i0; i < i1; i++ {
+		for i := 0; i < rows; i++ {
 			arow := a.Row(i)[:k]
 			var s float32
 			for kk, av := range arow {
@@ -84,50 +87,6 @@ func matMulDot32Rows(dst, a, bt *Matrix32, i0, i1 int) {
 			dst.Row(i)[j] = s
 		}
 	}
-}
-
-// MatMulDot32Into computes dst = a·b with the second operand pre-transposed
-// (bt is bᵀ), in float32. dst must not alias an input.
-func MatMulDot32Into(dst, a, bt *Matrix32) {
-	if a.Cols != bt.Cols {
-		panic(fmt.Sprintf("tensor: MatMulDot32Into inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, bt.Rows, bt.Cols))
-	}
-	checkShape32("MatMulDot32Into", dst, a.Rows, bt.Rows)
-	noAlias32("MatMulDot32Into", dst, a)
-	noAlias32("MatMulDot32Into", dst, bt)
-	matMulDot32Rows(dst, a, bt, 0, a.Rows)
-}
-
-// MatMulDotParallel32Into is MatMulDot32Into with contiguous row tiles
-// fanned out over at most workers goroutines (parallel.Workers semantics;
-// <= 1 runs inline). Tiles split rows only — never the k axis — so the
-// result is bit-identical to the serial kernel for every worker count.
-func MatMulDotParallel32Into(dst, a, bt *Matrix32, workers int) {
-	if a.Cols != bt.Cols {
-		panic(fmt.Sprintf("tensor: MatMulDotParallel32Into inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, bt.Rows, bt.Cols))
-	}
-	checkShape32("MatMulDotParallel32Into", dst, a.Rows, bt.Rows)
-	noAlias32("MatMulDotParallel32Into", dst, a)
-	noAlias32("MatMulDotParallel32Into", dst, bt)
-	w := parallel.Workers(workers)
-	if w > a.Rows {
-		w = a.Rows
-	}
-	if w <= 1 {
-		matMulDot32Rows(dst, a, bt, 0, a.Rows)
-		return
-	}
-	tile := (a.Rows + w - 1) / w
-	// Row tiles write disjoint dst rows; the shared inputs are read-only.
-	_ = parallel.ForEach(context.Background(), w, w, func(t int) error {
-		lo := t * tile
-		hi := lo + tile
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		matMulDot32Rows(dst, a, bt, lo, hi)
-		return nil
-	})
 }
 
 // MatMulAddBiasDot32Into computes dst = a·b + bias with the weight matrix

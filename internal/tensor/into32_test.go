@@ -93,14 +93,6 @@ func TestInto32BitIdentity(t *testing.T) {
 			t.Fatalf("trial %d: MatMulDot32Into diverges from scalar reference at %dx%d·(%dx%d)ᵀ", trial, r, k1, c, k1)
 		}
 
-		for w := 1; w <= 4; w++ {
-			dp := garbage32(r, c)
-			MatMulDotParallel32Into(dp, a1, b1t, w)
-			if !bitsEqual32(dp, want) {
-				t.Fatalf("trial %d: MatMulDotParallel32Into workers=%d diverges from serial", trial, w)
-			}
-		}
-
 		wantBias := refDot32(a1, b1t)
 		for i := 0; i < r; i++ {
 			row := wantBias.Row(i)
@@ -169,7 +161,6 @@ func TestInto32Aliasing(t *testing.T) {
 	}{
 		{"MatMulDot32Into-a", func() { MatMulDot32Into(square, square, randMat32(rng, 6, 6)) }},
 		{"MatMulDot32Into-bt", func() { MatMulDot32Into(square, randMat32(rng, 6, 6), square) }},
-		{"MatMulDotParallel32Into", func() { MatMulDotParallel32Into(square, square, randMat32(rng, 6, 6), 2) }},
 		{"MatMulAddBiasDot32Into", func() { MatMulAddBiasDot32Into(square, square, randMat32(rng, 6, 6), bias) }},
 		{"MatMulDualAddBiasDot32Into", func() {
 			MatMulDualAddBiasDot32Into(square, randMat32(rng, 6, 6), square, randMat32(rng, 6, 6), randMat32(rng, 6, 6), bias)

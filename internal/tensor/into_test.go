@@ -189,7 +189,6 @@ func TestIntoAliasing(t *testing.T) {
 	}{
 		{"MatMulInto", func() { MatMulInto(square, square, randMat(rng, 6, 6)) }},
 		{"MatMulInto-b", func() { MatMulInto(square, randMat(rng, 6, 6), square) }},
-		{"MatMulSparseInto", func() { MatMulSparseInto(square, square, randMat(rng, 6, 6)) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(square, square, randMat(rng, 6, 6)) }},
 		{"MatMulTransBInto", func() { MatMulTransBInto(square, randMat(rng, 6, 6), square) }},
 		{"TransposeInto", func() { TransposeInto(square, square) }},
@@ -211,9 +210,8 @@ func TestIntoAliasing(t *testing.T) {
 	}
 }
 
-// TestMatMulNaNPropagation pins the satellite fix: MatMul must propagate
-// NaN/Inf through zero operands (0·NaN = NaN), while MatMulSparseInto
-// documents the opposite.
+// TestMatMulNaNPropagation pins the satellite fix: MatMul and MatMulInto
+// must propagate NaN/Inf through zero operands (0·NaN = NaN).
 func TestMatMulNaNPropagation(t *testing.T) {
 	a := FromSlice(1, 2, []float64{0, 1})
 	b := FromSlice(2, 1, []float64{math.NaN(), 2})
@@ -221,28 +219,9 @@ func TestMatMulNaNPropagation(t *testing.T) {
 		t.Errorf("MatMul masked NaN through a zero operand: got %v", got)
 	}
 	dst := New(1, 1)
-	MatMulSparseInto(dst, a, b)
-	if got := dst.At(0, 0); got != 2 {
-		t.Errorf("MatMulSparseInto should skip the zero row: got %v, want 2", got)
-	}
-}
-
-// TestMatMulSparseFiniteIdentity checks the sparse kernel's documented
-// guarantee: on finite inputs it matches MatMulInto bit-for-bit even with
-// many exact zeros.
-func TestMatMulSparseFiniteIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		r, k, c := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		a := randMat(rng, r, k)
-		b := randMat(rng, k, c)
-		dense := New(r, c)
-		sparse := New(r, c)
-		MatMulInto(dense, a, b)
-		MatMulSparseInto(sparse, a, b)
-		if !bitsEqual(dense, sparse) {
-			t.Fatalf("trial %d: sparse kernel diverges on finite data:\n%v\nvs\n%v", trial, dense, sparse)
-		}
+	MatMulInto(dst, a, b)
+	if got := dst.At(0, 0); !math.IsNaN(got) {
+		t.Errorf("MatMulInto masked NaN through a zero operand: got %v", got)
 	}
 }
 

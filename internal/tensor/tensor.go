@@ -152,8 +152,7 @@ func MatMul(a, b *Matrix) *Matrix {
 		orow := out.Row(i)
 		for k, av := range arow {
 			// No zero-operand skip here: 0·NaN must stay NaN so numerical
-			// divergence propagates instead of being masked. Callers with
-			// provably finite sparse operands can use MatMulSparseInto.
+			// divergence propagates instead of being masked.
 			brow := b.Row(k)
 			for j, bv := range brow {
 				orow[j] += av * bv
