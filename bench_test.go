@@ -346,10 +346,21 @@ func BenchmarkAblationPhantom(b *testing.B) {
 }
 
 // BenchmarkSimulatorStep times one microscopic traffic simulation step at
-// the paper's density (the substrate everything else runs on).
+// the paper's density on a 1 km road (the substrate everything else runs
+// on).
 func BenchmarkSimulatorStep(b *testing.B) {
 	cfg := traffic.DefaultConfig()
 	cfg.World.RoadLength = 1000
+	benchSimulatorStep(b, cfg)
+}
+
+// BenchmarkSimulatorStepPaper times one step of the paper's full scene:
+// 3 km, six lanes, 180 veh/km (539 vehicles).
+func BenchmarkSimulatorStepPaper(b *testing.B) {
+	benchSimulatorStep(b, traffic.DefaultConfig())
+}
+
+func benchSimulatorStep(b *testing.B, cfg traffic.Config) {
 	sim, err := traffic.New(cfg, rand.New(rand.NewSource(10)))
 	if err != nil {
 		b.Fatal(err)

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -51,15 +49,8 @@ func WriteBenchJSON(path, tool, scaleName string, s Scale, start time.Time, rows
 		DurationS:  time.Since(start).Seconds(),
 		Rows:       rows,
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := obs.WriteJSONAtomic(path, snap); err != nil {
 		return fmt.Errorf("bench json: %w", err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		f.Close()
-		return fmt.Errorf("bench json: %w", err)
-	}
-	return f.Close()
+	return nil
 }

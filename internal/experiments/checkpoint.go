@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 
 	"head/internal/head"
 	"head/internal/nn"
+	"head/internal/obs"
 	"head/internal/predict"
 	"head/internal/rl"
 )
@@ -40,15 +42,9 @@ func (s Scale) PredictorConfig() predict.LSTGATConfig {
 // backend it was trained under ("" or "f64" keeps the legacy untagged
 // byte format, so f64 checkpoints stay byte-identical).
 func SaveModule(path string, m nn.Module, backend string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := nn.SaveTagged(f, m, backend); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteFileAtomic(path, func(w io.Writer) error {
+		return nn.SaveTagged(w, m, backend)
+	})
 }
 
 // LoadModule restores a checkpoint written by SaveModule into an

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // micro is an even smaller scale than Quick, for CI-speed tests.
@@ -143,5 +147,34 @@ func TestScalePresets(t *testing.T) {
 	}
 	if p.RoadLength != 3000 || p.Density != 180 || p.TestEpisodes != 500 {
 		t.Errorf("Paper preset diverges from the publication: %+v", p)
+	}
+}
+
+// TestWriteBenchJSONFailureKeepsOldFile: a snapshot whose rows fail to
+// encode (encoding/json rejects NaN) leaves the previous snapshot
+// byte-identical and no temporary file beside it.
+func TestWriteBenchJSONFailureKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_rl.json")
+	start := time.Now()
+	if err := WriteBenchJSON(path, "rlbench", "micro", micro(), start, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBenchJSON(path, "rlbench", "micro", micro(), start, []float64{math.NaN()}); err == nil {
+		t.Fatal("NaN row encoded without error")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Errorf("failed write changed the snapshot:\n%s\nwant\n%s", got, old)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("directory holds %d entries after a failed write, want 1", len(entries))
 	}
 }

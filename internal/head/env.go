@@ -328,12 +328,12 @@ func (e *Env) StepManeuver(m world.Maneuver) StepOutcome {
 	w := e.Cfg.Traffic.World
 	m.A = w.ClampAccel(m.A)
 
-	// Pre-step ground truth about the rear conventional vehicle.
+	// Pre-step ground truth about the rear conventional vehicle. Step
+	// commits the new state into the same *Vehicle and never removes one,
+	// so rearBefore reads the post-step speed below.
 	rearBefore := e.sim.Follower(e.sim.AV.State.Lat, e.sim.AV.State.Lon, e.sim.AV)
-	var rearID int = -1
 	var rearVNow float64
 	if rearBefore != nil {
-		rearID = rearBefore.ID
 		rearVNow = rearBefore.State.V
 	}
 	frontPhantom := e.graph != nil && e.graph.Info[phantom.Front].Kind != phantom.NotMissing
@@ -375,18 +375,13 @@ func (e *Env) StepManeuver(m world.Maneuver) StepOutcome {
 			out.TTC, out.TTCValid = ttc, true
 		}
 	}
-	if rearID >= 0 {
-		for _, v := range e.sim.Vehicles {
-			if v.ID == rearID {
-				in.RearExists = true
-				out.RearExists = true
-				in.RearVNow = rearVNow
-				in.RearVNext = v.State.V
-				if d := rearVNow - v.State.V; d > 0 {
-					out.RearDecel = d
-				}
-				break
-			}
+	if rearBefore != nil {
+		in.RearExists = true
+		out.RearExists = true
+		in.RearVNow = rearVNow
+		in.RearVNext = rearBefore.State.V
+		if d := rearVNow - rearBefore.State.V; d > 0 {
+			out.RearDecel = d
 		}
 	}
 	rc := e.trace.Start("reward_compute")

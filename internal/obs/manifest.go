@@ -43,16 +43,13 @@ type Manifest struct {
 }
 
 // Write stores the manifest as dir/manifest.json (indented, trailing
-// newline). DurationS is derived from Start/End when left zero.
+// newline) through WriteJSONAtomic. DurationS is derived from Start/End
+// when left zero.
 func (m Manifest) Write(dir string) error {
 	if m.DurationS == 0 && !m.Start.IsZero() && !m.End.IsZero() {
 		m.DurationS = m.End.Sub(m.Start).Seconds()
 	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, ManifestFile), append(data, '\n'), 0o644)
+	return WriteJSONAtomic(filepath.Join(dir, ManifestFile), m)
 }
 
 // ReadManifest loads dir/manifest.json.

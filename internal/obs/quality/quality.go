@@ -22,6 +22,7 @@ import (
 	"os"
 	"sync"
 
+	"head/internal/obs"
 	"head/internal/world"
 )
 
@@ -339,13 +340,10 @@ func (r *Recorder) Baseline(meta Baseline) *Baseline {
 	return &meta
 }
 
-// Write stores the baseline as indented JSON with a trailing newline.
+// Write stores the baseline as indented JSON with a trailing newline,
+// through obs.WriteJSONAtomic.
 func (b *Baseline) Write(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return obs.WriteJSONAtomic(path, b)
 }
 
 // ReadBaseline loads a baseline written by Write, rejecting files without

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+
+	"head/internal/obs"
 )
 
 // Row is one load-generator measurement: a named serving configuration
@@ -213,9 +215,5 @@ func AppendRow(path string, row Row) error {
 	if !replaced {
 		f.Rows = append(f.Rows, row)
 	}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return obs.WriteJSONAtomic(path, f)
 }

@@ -72,7 +72,7 @@ func (s *Sim) followAccel(v *Vehicle, lane int) float64 {
 	if s.Cfg.CarFollowing != Krauss {
 		return s.accelToward(v, lane)
 	}
-	leader := s.Leader(lane, v.State.Lon, v)
+	leader := s.leader(lane, v.State.Lon, v)
 	gap, vLead := math.Inf(1), 0.0
 	if leader != nil {
 		gap = leader.State.Lon - v.State.Lon - s.Cfg.World.VehicleLen

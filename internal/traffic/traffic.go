@@ -103,7 +103,8 @@ func DefaultConfig() Config {
 }
 
 // Sim is a running simulation. The zero value is not usable; construct with
-// New.
+// New. A Sim is not safe for concurrent use: its neighbor queries rebuild
+// the lane index they read.
 type Sim struct {
 	Cfg      Config
 	AV       *Vehicle
@@ -115,10 +116,14 @@ type Sim struct {
 	// Collision state, set when the AV crashes into a vehicle.
 	AVCollided bool
 
-	// steady-state scratch: the persistent sorter and per-step plan buffer
-	// keep Step free of heap allocations.
+	// steady-state scratch: the persistent sorter, the per-step plan
+	// buffer and the lane index keep Step free of heap allocations.
 	sorter lonSorter
 	plans  []planned
+	// lanes[k] holds the vehicles in lane laneBase+k, the AV included,
+	// ordered by Lon (see reindex).
+	lanes    [][]*Vehicle
+	laneBase int
 }
 
 // planned pairs a vehicle with its committed next state.
@@ -194,6 +199,13 @@ func New(cfg Config, rng *rand.Rand) (*Sim, error) {
 	}
 	s.Vehicles = kept
 	s.sortVehicles()
+	s.plans = make([]planned, 0, len(s.Vehicles))
+	// Every lane list can hold every vehicle, so lane changes never grow it.
+	s.laneBase = 1
+	s.lanes = make([][]*Vehicle, w.Lanes)
+	for k := range s.lanes {
+		s.lanes[k] = make([]*Vehicle, 0, len(s.Vehicles)+1)
+	}
 	return s, nil
 }
 
@@ -207,53 +219,123 @@ func (s *Sim) vehicleAt(i int) *Vehicle {
 	return s.Vehicles[i]
 }
 
-// sortVehicles keeps the conventional-vehicle slice ordered by longitudinal
-// position so neighbor queries can scan linearly.
+// sortVehicles orders the conventional vehicles by longitudinal position.
+// The order fixes which driver draws which random numbers in Step, and it
+// lets reindex build each lane list with one comparison per vehicle.
 func (s *Sim) sortVehicles() {
 	s.sorter.vs = s.Vehicles
 	sort.Sort(&s.sorter)
 }
 
-// Leader returns the nearest vehicle ahead of st in lane lane, or nil.
-func (s *Sim) Leader(lane int, lon float64, exclude *Vehicle) *Vehicle {
-	var best *Vehicle
+// reindex rebuilds every lane list from the current states. It walks the
+// vehicles in vehicleAt order and inserts stably, so vehicles at equal Lon
+// keep that order (the AV after conventional vehicles) and the first match
+// in a list is the vehicle a scan over vehicleAt order would pick.
+func (s *Sim) reindex() {
+	for k := range s.lanes {
+		s.lanes[k] = s.lanes[k][:0]
+	}
 	for i := 0; i <= len(s.Vehicles); i++ {
 		v := s.vehicleAt(i)
-		if v == exclude || v.State.Lat != lane || v.State.Lon <= lon {
-			continue
+		k := v.State.Lat - s.laneBase
+		if k < 0 || k >= len(s.lanes) {
+			s.widenIndex(v.State.Lat)
+			k = v.State.Lat - s.laneBase
 		}
-		if best == nil || v.State.Lon < best.State.Lon {
-			best = v
+		l := append(s.lanes[k], v)
+		j := len(l) - 1
+		for ; j > 0 && l[j-1].State.Lon > v.State.Lon; j-- {
+			l[j] = l[j-1]
 		}
+		l[j] = v
+		s.lanes[k] = l
 	}
-	return best
 }
 
-// Follower returns the nearest vehicle behind st in lane lane, or nil.
-func (s *Sim) Follower(lane int, lon float64, exclude *Vehicle) *Vehicle {
-	var best *Vehicle
-	for i := 0; i <= len(s.Vehicles); i++ {
-		v := s.vehicleAt(i)
-		if v == exclude || v.State.Lat != lane || v.State.Lon >= lon {
-			continue
-		}
-		if best == nil || v.State.Lon > best.State.Lon {
-			best = v
+// widenIndex adds empty lists until the index covers lane. Only vehicles
+// placed off the configured road need it, so Step never allocates here.
+func (s *Sim) widenIndex(lane int) {
+	for lane < s.laneBase {
+		s.lanes = append([][]*Vehicle{nil}, s.lanes...)
+		s.laneBase--
+	}
+	for lane >= s.laneBase+len(s.lanes) {
+		s.lanes = append(s.lanes, nil)
+	}
+}
+
+// laneList returns lane's index list, nil for a lane outside the index
+// (no vehicle is in it).
+func (s *Sim) laneList(lane int) []*Vehicle {
+	k := lane - s.laneBase
+	if k < 0 || k >= len(s.lanes) {
+		return nil
+	}
+	return s.lanes[k]
+}
+
+// behind returns how many vehicles of the lane list l are behind lon.
+func behind(l []*Vehicle, lon float64) int {
+	return sort.Search(len(l), func(i int) bool { return l[i].State.Lon >= lon })
+}
+
+// Leader returns the nearest vehicle other than exclude ahead of lon in
+// lane lane, or nil. Of vehicles at the same position it returns the first
+// in Vehicles order, the AV last.
+func (s *Sim) Leader(lane int, lon float64, exclude *Vehicle) *Vehicle {
+	s.reindex()
+	return s.leader(lane, lon, exclude)
+}
+
+func (s *Sim) leader(lane int, lon float64, exclude *Vehicle) *Vehicle {
+	l := s.laneList(lane)
+	i := sort.Search(len(l), func(i int) bool { return l[i].State.Lon > lon })
+	for ; i < len(l); i++ {
+		if l[i] != exclude {
+			return l[i]
 		}
 	}
-	return best
+	return nil
+}
+
+// Follower returns the nearest vehicle other than exclude behind lon in
+// lane lane, or nil. Of vehicles at the same position it returns the first
+// in Vehicles order, the AV last.
+func (s *Sim) Follower(lane int, lon float64, exclude *Vehicle) *Vehicle {
+	s.reindex()
+	return s.follower(lane, lon, exclude)
+}
+
+func (s *Sim) follower(lane int, lon float64, exclude *Vehicle) *Vehicle {
+	l := s.laneList(lane)
+	// Walk down the groups of equal Lon behind lon; the first vehicle of
+	// the highest group that is not exclude wins.
+	for hi := behind(l, lon); hi > 0; {
+		lo := hi - 1
+		for lo > 0 && l[lo-1].State.Lon == l[lo].State.Lon {
+			lo--
+		}
+		for _, v := range l[lo:hi] {
+			if v != exclude {
+				return v
+			}
+		}
+		hi = lo
+	}
+	return nil
 }
 
 // NeighborsOf returns the occupants of the six key areas around center.
 func (s *Sim) NeighborsOf(center *Vehicle) Neighborhood {
+	s.reindex()
 	st := center.State
 	return Neighborhood{
-		FrontLeft:  s.Leader(st.Lat-1, st.Lon, center),
-		Front:      s.Leader(st.Lat, st.Lon, center),
-		FrontRight: s.Leader(st.Lat+1, st.Lon, center),
-		RearLeft:   s.Follower(st.Lat-1, st.Lon, center),
-		Rear:       s.Follower(st.Lat, st.Lon, center),
-		RearRight:  s.Follower(st.Lat+1, st.Lon, center),
+		FrontLeft:  s.leader(st.Lat-1, st.Lon, center),
+		Front:      s.leader(st.Lat, st.Lon, center),
+		FrontRight: s.leader(st.Lat+1, st.Lon, center),
+		RearLeft:   s.follower(st.Lat-1, st.Lon, center),
+		Rear:       s.follower(st.Lat, st.Lon, center),
+		RearRight:  s.follower(st.Lat+1, st.Lon, center),
 	}
 }
 
@@ -274,13 +356,34 @@ func IDMAccel(p DriverParams, v, gap, dv float64) float64 {
 // accelToward computes the IDM acceleration of vehicle v if it were driving
 // in lane lane at its current longitudinal position.
 func (s *Sim) accelToward(v *Vehicle, lane int) float64 {
-	leader := s.Leader(lane, v.State.Lon, v)
+	leader := s.leader(lane, v.State.Lon, v)
 	gap, dv := math.Inf(1), 0.0
 	if leader != nil {
 		gap = leader.State.Lon - v.State.Lon - s.Cfg.World.VehicleLen
 		dv = v.State.V - leader.State.V
 	}
 	return IDMAccel(v.Params, v.State.V, gap, dv)
+}
+
+// slotTaken reports whether a vehicle other than v in lane lane is closer
+// than VehicleLen+1 to v's position. The distance grows along the lane
+// list in both directions from v.Lon, so each walk stops at its first
+// vehicle outside the slot.
+func (s *Sim) slotTaken(v *Vehicle, lane int) bool {
+	l := s.laneList(lane)
+	reach := s.Cfg.World.VehicleLen + 1
+	i := behind(l, v.State.Lon)
+	for j := i; j < len(l) && math.Abs(l[j].State.Lon-v.State.Lon) < reach; j++ {
+		if l[j] != v {
+			return true
+		}
+	}
+	for j := i - 1; j >= 0 && math.Abs(l[j].State.Lon-v.State.Lon) < reach; j-- {
+		if l[j] != v {
+			return true
+		}
+	}
+	return false
 }
 
 // laneChangeDecision evaluates the MOBIL criterion for vehicle v toward
@@ -293,17 +396,11 @@ func (s *Sim) laneChangeDecision(v *Vehicle, target int) bool {
 	}
 	w := s.Cfg.World
 	// Physical feasibility: target slot must not overlap another vehicle.
-	for i := 0; i <= len(s.Vehicles); i++ {
-		o := s.vehicleAt(i)
-		if o == v || o.State.Lat != target {
-			continue
-		}
-		if math.Abs(o.State.Lon-v.State.Lon) < w.VehicleLen+1 {
-			return false
-		}
+	if s.slotTaken(v, target) {
+		return false
 	}
 	// Safety: new follower must not need to brake harder than b_safe.
-	newFollower := s.Follower(target, v.State.Lon, v)
+	newFollower := s.follower(target, v.State.Lon, v)
 	if newFollower != nil {
 		gap := v.State.Lon - newFollower.State.Lon - w.VehicleLen
 		dv := newFollower.State.V - v.State.V
@@ -323,11 +420,11 @@ func (s *Sim) laneChangeDecision(v *Vehicle, target int) bool {
 		aFollowerBefore := s.accelToward(newFollower, target)
 		gain += v.Params.Politeness * (aFollowerAfter - aFollowerBefore)
 	}
-	oldFollower := s.Follower(v.State.Lat, v.State.Lon, v)
+	oldFollower := s.follower(v.State.Lat, v.State.Lon, v)
 	if oldFollower != nil {
 		aOldFollowerBefore := s.accelToward(oldFollower, v.State.Lat)
 		// After v leaves, the old follower follows v's leader.
-		leader := s.Leader(v.State.Lat, v.State.Lon, v)
+		leader := s.leader(v.State.Lat, v.State.Lon, v)
 		gapA, dvA := math.Inf(1), 0.0
 		if leader != nil {
 			gapA = leader.State.Lon - oldFollower.State.Lon - w.VehicleLen
@@ -343,6 +440,7 @@ func (s *Sim) laneChangeDecision(v *Vehicle, target int) bool {
 // allow vehicle v to change to the target lane. Exported for decision
 // policies that reuse the conventional lane-change model.
 func (s *Sim) LaneChangeOK(v *Vehicle, target int) bool {
+	s.reindex()
 	return s.laneChangeDecision(v, target)
 }
 
@@ -350,6 +448,7 @@ func (s *Sim) LaneChangeOK(v *Vehicle, target int) bool {
 // were driving in the given lane. Exported for decision policies that
 // reuse the conventional car-following model.
 func (s *Sim) AccelToward(v *Vehicle, lane int) float64 {
+	s.reindex()
 	return s.accelToward(v, lane)
 }
 
@@ -396,6 +495,8 @@ type StepResult struct {
 func (s *Sim) Step(avManeuver world.Maneuver) StepResult {
 	w := s.Cfg.World
 	var res StepResult
+	// Nothing moves until the commit, so one index serves every plan.
+	s.reindex()
 	plans := s.plans[:0]
 	for _, v := range s.Vehicles {
 		m := s.planConventional(v)
