@@ -22,10 +22,6 @@
 //     derive the per-environment speedup of a batched benchmark over its
 //     serial counterpart (serial ns/op ÷ (batch ns/op ÷ envs)) and fail
 //     below the floor. The computed ratio is recorded in the snapshot.
-//   - -backend pairs every <X>F32 row with its <X>F64 sibling, derives the
-//     f32-over-f64 speedup per pair, and fails below -min-backend-speedup.
-//     -backend-match restricts which pairs the floor gates; unmatched
-//     pairs are still measured and recorded in the snapshot.
 //
 // A separate mode gates serving snapshots instead of bench output:
 //
@@ -84,22 +80,10 @@ type Speedup struct {
 	MinRatio float64 `json:"min_ratio"`
 }
 
-// BackendPair records the derived f32-over-f64 throughput ratio of one
-// benchmark pair (<Name>F64 vs <Name>F32), so the float32 fast path's perf
-// trajectory is archived alongside the raw rows.
-type BackendPair struct {
-	Name     string  `json:"name"`
-	F64Ns    float64 `json:"f64_ns_per_op"`
-	F32Ns    float64 `json:"f32_ns_per_op"`
-	Ratio    float64 `json:"ratio"`
-	MinRatio float64 `json:"min_ratio"`
-}
-
-// snapshot is BenchSnapshot plus the optional derived speedup records.
+// snapshot is BenchSnapshot plus the optional derived speedup record.
 type snapshot struct {
 	experiments.BenchSnapshot
-	Speedup  *Speedup      `json:"speedup,omitempty"`
-	Backends []BackendPair `json:"backend_speedups,omitempty"`
+	Speedup *Speedup `json:"speedup,omitempty"`
 }
 
 // cpuSuffix strips the -GOMAXPROCS suffix go test appends to bench names.
@@ -161,33 +145,6 @@ func regression(row AllocRow, prev map[string]AllocRow, tolerance float64) (was 
 	return p.NsPerOp, row.NsPerOp > p.NsPerOp*(1+tolerance), true
 }
 
-// backendPairs derives the f32-over-f64 ratio of every benchmark pair in
-// rows: a row named <X>F32 pairs with its <X>F64 sibling; unpaired rows
-// are skipped. The ratio is f64 ns/op ÷ f32 ns/op, so > 1 means the
-// float32 backend is faster.
-func backendPairs(rows []AllocRow, minRatio float64) []BackendPair {
-	byName := make(map[string]AllocRow, len(rows))
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-	var pairs []BackendPair
-	for _, r := range rows {
-		base, ok := strings.CutSuffix(r.Name, "F32")
-		if !ok {
-			continue
-		}
-		f64row, ok := byName[base+"F64"]
-		if !ok || f64row.NsPerOp <= 0 || r.NsPerOp <= 0 {
-			continue
-		}
-		pairs = append(pairs, BackendPair{
-			Name: base, F64Ns: f64row.NsPerOp, F32Ns: r.NsPerOp,
-			Ratio: f64row.NsPerOp / r.NsPerOp, MinRatio: minRatio,
-		})
-	}
-	return pairs
-}
-
 // speedup derives the per-environment batched-vs-serial throughput ratio.
 func speedup(rows []AllocRow, serial, batch string, envs int, minRatio float64) (*Speedup, error) {
 	byName := make(map[string]AllocRow, len(rows))
@@ -225,9 +182,6 @@ func main() {
 	spBatch := flag.String("speedup-batch", "", "batched benchmark name for the speedup gate")
 	spEnvs := flag.Int("speedup-envs", 8, "environments per op of the batched benchmark")
 	minSpeedup := flag.Float64("min-speedup", 1.2, "per-env speedup floor of batch over serial")
-	backendMode := flag.Bool("backend", false, "pair <X>F64/<X>F32 benchmark rows and gate the f32-over-f64 speedup")
-	minBackendSp := flag.Float64("min-backend-speedup", 1.05, "f32-over-f64 speedup floor per gated benchmark pair (backend mode)")
-	backendMatch := flag.String("backend-match", "", "regexp selecting which pairs the speedup floor applies to ('' gates every pair); unmatched pairs are still recorded in the snapshot")
 	servePath := flag.String("serve", "", "gate a cmd/headload BENCH_serve.json snapshot instead of bench output ('' disables)")
 	serveRow := flag.String("serve-row", "", "serve row the p99/rps gates apply to ('' gates every row)")
 	serveP99 := flag.Float64("serve-p99", 0, "p99 latency ceiling in ms for gated serve rows (0 disables)")
@@ -324,44 +278,6 @@ func main() {
 			sp.Batch, sp.Envs, sp.PerEnvNs, sp.Serial, sp.SerialNs, sp.Ratio, verdict)
 	}
 
-	var pairs []BackendPair
-	if *backendMode {
-		pairRe, err := regexp.Compile(*backendMatch)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcheck:", err)
-			os.Exit(1)
-		}
-		pairs = backendPairs(rows, *minBackendSp)
-		if len(pairs) == 0 {
-			fmt.Fprintln(os.Stderr, "benchcheck: backend mode found no <X>F64/<X>F32 benchmark pairs")
-			os.Exit(1)
-		}
-		gatedPairs := 0
-		for i, p := range pairs {
-			verdict := "ok"
-			switch {
-			case *backendMatch != "" && !pairRe.MatchString(p.Name):
-				// Recorded for the perf trail but not floor-gated: pairs
-				// whose workload is too small (or too cache-resident) for
-				// the f32 win to clear a meaningful floor on noisy runners.
-				verdict = "recorded (not gated)"
-				pairs[i].MinRatio = 0
-			case p.Ratio < p.MinRatio:
-				verdict = fmt.Sprintf("FAIL (< %.2fx floor)", p.MinRatio)
-				failed++
-				gatedPairs++
-			default:
-				gatedPairs++
-			}
-			fmt.Printf("benchcheck: backend %-24s f64 %12.0f ns/op vs f32 %12.0f ns/op: %.2fx  %s\n",
-				p.Name, p.F64Ns, p.F32Ns, p.Ratio, verdict)
-		}
-		if gatedPairs == 0 {
-			fmt.Fprintln(os.Stderr, "benchcheck: no backend pair matched", *backendMatch)
-			os.Exit(1)
-		}
-	}
-
 	if *out != "" {
 		snap := snapshot{
 			BenchSnapshot: experiments.BenchSnapshot{
@@ -371,8 +287,7 @@ func main() {
 				DurationS: time.Since(start).Seconds(),
 				Rows:      rows,
 			},
-			Speedup:  sp,
-			Backends: pairs,
+			Speedup: sp,
 		}
 		if err := writeJSON(*out, snap); err != nil {
 			fmt.Fprintln(os.Stderr, "benchcheck:", err)

@@ -52,7 +52,6 @@ import (
 	"head/internal/obs/span"
 	"head/internal/rl"
 	"head/internal/serve"
-	"head/internal/tensor"
 )
 
 func main() {
@@ -63,7 +62,6 @@ func main() {
 		load      = flag.String("load", "", "checkpoint directory written by headtrain -out (required)")
 		scaleName = flag.String("scale", "quick", "experiment scale the checkpoint was trained at: quick, record or paper")
 		seed      = flag.Int64("seed", 0, "override the random seed (must match training)")
-		backendN  = flag.String("backend", "", "tensor backend the checkpoint was trained under: f64 (default) or f32; a mismatch refuses to load")
 		batch     = flag.Int("batch", 8, "micro-batch size B: flush as soon as this many requests are pending")
 		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "flush deadline: maximum time a request waits for batch mates")
 		replicas  = flag.Int("replicas", 1, "model replicas answering batches concurrently")
@@ -87,11 +85,6 @@ func main() {
 	if *load == "" {
 		log.Fatal("pass -load dir (a checkpoint directory written by headtrain -out)")
 	}
-	be, err := tensor.Lookup(*backendN)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	var s experiments.Scale
 	switch *scaleName {
 	case "quick":
@@ -106,7 +99,6 @@ func main() {
 	if *seed != 0 {
 		s.Seed = *seed
 	}
-	s.Backend = *backendN
 
 	predictor, agent, err := experiments.LoadCheckpoint(s, *load)
 	if err != nil {
@@ -186,13 +178,13 @@ func main() {
 	}
 
 	sessions := serve.NewSessionCache(*sessCap)
-	srv := obs.NewHTTPServer(serve.NewMux(b, cfg.Sensor.Z, be.Name(), sessions, reg, tel))
+	srv := obs.NewHTTPServer(serve.NewMux(b, cfg.Sensor.Z, "f64", sessions, reg, tel))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving decisions on http://%s (batch %d, max-wait %v, %d replicas, z=%d frames, %s backend)",
-		ln.Addr(), *batch, *maxWait, *replicas, cfg.Sensor.Z, be.Name())
+	log.Printf("serving decisions on http://%s (batch %d, max-wait %v, %d replicas, z=%d frames)",
+		ln.Addr(), *batch, *maxWait, *replicas, cfg.Sensor.Z)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -219,7 +211,6 @@ func main() {
 			Scale:      *scaleName,
 			Seed:       s.Seed,
 			Workers:    *replicas,
-			Backend:    be.Name(),
 			ConfigHash: s.ConfigHash(),
 			GoVersion:  runtime.Version(),
 			Start:      start,

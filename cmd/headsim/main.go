@@ -19,7 +19,6 @@ import (
 
 	"head/internal/experiments"
 	"head/internal/obs/quality"
-	"head/internal/tensor"
 )
 
 func main() {
@@ -33,7 +32,6 @@ func main() {
 		seed      = flag.Int64("seed", 0, "override the random seed")
 		workers   = flag.Int("workers", 0, "max parallel workers (0 = all cores; results are identical for any value)")
 		batchEnvs = flag.Int("batch-envs", 0, "lock-step batched execution width for evaluation and training (<=1 = serial; results are identical for any value)")
-		backendN  = flag.String("backend", "", "tensor backend for model forwards: f64 (default, bit-identical golden path) or f32 (float32 fast path)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and /debug/vars on this address (e.g. :8080; empty disables)")
 		progress  = flag.Bool("progress", false, "print a live heartbeat line per episode/epoch to stderr")
 		traceOut  = flag.String("trace-out", "", "directory to write trace.json (Chrome trace-event JSON) and decisions.jsonl into (empty disables tracing)")
@@ -41,9 +39,6 @@ func main() {
 		qualOut   = flag.String("quality-out", "", "directory to write the HEAD decision-quality baseline (quality_baseline.json) into after the table run (empty disables)")
 	)
 	flag.Parse()
-	if _, err := tensor.Lookup(*backendN); err != nil {
-		log.Fatal(err)
-	}
 
 	s, err := scaleByName(*scaleName)
 	if err != nil {
@@ -60,7 +55,6 @@ func main() {
 	}
 	s.Workers = *workers
 	s.BatchEnvs = *batchEnvs
-	s.Backend = *backendN
 	srv, finishTrace, err := s.ObserveDefault(*progress, *debugAddr, *traceOut, *traceSmpl)
 	if err != nil {
 		log.Fatal(err)

@@ -35,7 +35,6 @@ import (
 	"head/internal/obs/quality"
 	"head/internal/parallel"
 	"head/internal/rl"
-	"head/internal/tensor"
 )
 
 func main() {
@@ -55,12 +54,8 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "directory to write trace.json (Chrome trace-event JSON) and decisions.jsonl into (empty disables tracing)")
 		traceSmpl = flag.Float64("trace-sample", 1, "fraction of steps traced, deterministic per (lane, episode, step); 0 or 1 traces every step")
 		qualOut   = flag.String("quality-out", "", "directory to (re)write quality_baseline.json into after evaluation (evaluation mode; empty disables)")
-		backend   = flag.String("backend", "", "tensor backend for model forwards: f64 (default, bit-identical golden path) or f32 (float32 fast path; checkpoints are tagged and only reload under -backend f32)")
 	)
 	flag.Parse()
-	if _, err := tensor.Lookup(*backend); err != nil {
-		log.Fatal(err)
-	}
 
 	var s experiments.Scale
 	switch *scaleName {
@@ -84,7 +79,6 @@ func main() {
 	}
 	s.Workers = *workers
 	s.BatchEnvs = *batchEnvs
-	s.Backend = *backend
 	srv, finishTrace, err := s.ObserveDefault(*progress, *debugAddr, *traceOut, *traceSmpl)
 	if err != nil {
 		log.Fatal(err)
@@ -131,7 +125,7 @@ func trainRun(s experiments.Scale, dir, scaleName string) error {
 	if err != nil {
 		return err
 	}
-	if err := experiments.SaveModule(filepath.Join(dir, experiments.CkptLSTGAT), predictor, s.Backend); err != nil {
+	if err := experiments.SaveModule(filepath.Join(dir, experiments.CkptLSTGAT), predictor); err != nil {
 		return err
 	}
 
@@ -148,7 +142,7 @@ func trainRun(s experiments.Scale, dir, scaleName string) error {
 		BatchEnvs: s.BatchEnvs,
 	})
 	fmt.Printf("trained in %v\n", res.TCT.Round(1e9))
-	if err := experiments.SaveModule(filepath.Join(dir, experiments.CkptBPDQN), agent, s.Backend); err != nil {
+	if err := experiments.SaveModule(filepath.Join(dir, experiments.CkptBPDQN), agent); err != nil {
 		return err
 	}
 
@@ -167,7 +161,6 @@ func trainRun(s experiments.Scale, dir, scaleName string) error {
 		Scale:      scaleName,
 		Seed:       s.Seed,
 		Workers:    s.Workers,
-		Backend:    s.Backend,
 		ConfigHash: s.ConfigHash(),
 		GoVersion:  runtime.Version(),
 		Start:      start,

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"head/internal/experiments"
-	"head/internal/tensor"
 )
 
 func main() {
@@ -29,7 +28,6 @@ func main() {
 		seed      = flag.Int64("seed", 0, "override the random seed")
 		workers   = flag.Int("workers", 0, "max parallel workers (0 = all cores; results are identical for any value)")
 		batchEnvs = flag.Int("batch-envs", 0, "batched inference width for the accuracy evaluation (<=1 = serial; results are identical for any value)")
-		backendN  = flag.String("backend", "", "tensor backend for model forwards: f64 (default, bit-identical golden path) or f32 (float32 fast path)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and /debug/vars on this address (e.g. :8080; empty disables)")
 		progress  = flag.Bool("progress", false, "print a live heartbeat line per episode/epoch to stderr")
 		traceOut  = flag.String("trace-out", "", "directory to write trace.json (Chrome trace-event JSON) and decisions.jsonl into (empty disables tracing)")
@@ -37,9 +35,6 @@ func main() {
 		benchJSON = flag.Bool("bench-json", false, "write a machine-readable BENCH_predict.json snapshot of the table rows")
 	)
 	flag.Parse()
-	if _, err := tensor.Lookup(*backendN); err != nil {
-		log.Fatal(err)
-	}
 
 	var s experiments.Scale
 	switch *scaleName {
@@ -60,7 +55,6 @@ func main() {
 	}
 	s.Workers = *workers
 	s.BatchEnvs = *batchEnvs
-	s.Backend = *backendN
 	srv, finishTrace, err := s.ObserveDefault(*progress, *debugAddr, *traceOut, *traceSmpl)
 	if err != nil {
 		log.Fatal(err)

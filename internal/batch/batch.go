@@ -10,7 +10,8 @@
 // physics, reward, and sensing stay exactly the serial code.
 //
 // Bit-identity: the batched forwards are bit-identical to their serial
-// counterparts (see internal/tensor's blocked-kernel invariant), the
+// counterparts (see the bit-identity invariant of the dot kernels in
+// internal/tensor/dot.go: no kernel splits the k axis), the
 // gather/scatter moves bytes without arithmetic, and each environment's
 // transition sequence is untouched — so every episode a Group rolls is
 // bit-for-bit the episode the serial loop would have rolled, and metrics

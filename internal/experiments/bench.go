@@ -8,12 +8,15 @@ import (
 	"head/internal/obs"
 )
 
-// ConfigHash hashes the scale's effective configuration, excluding the
-// attached observability sinks: two runs with the same knobs hash equal
-// whether or not they were observed, traced, or quality-profiled.
+// ConfigHash hashes the scale's results-relevant configuration: it
+// excludes the attached observability sinks and the Workers/BatchEnvs
+// throughput knobs, so two runs with the same results-relevant knobs hash
+// equal whether or not they were observed, traced, or quality-profiled,
+// and at any parallel or batched width.
 func (s Scale) ConfigHash() string {
 	hs := s
 	hs.Metrics, hs.Progress, hs.Trace, hs.Quality = nil, nil, nil, nil
+	hs.Workers, hs.BatchEnvs = 0, 0
 	return obs.Hash(hs)
 }
 
@@ -26,7 +29,6 @@ type BenchSnapshot struct {
 	Scale      string  `json:"scale"`
 	Seed       int64   `json:"seed"`
 	Workers    int     `json:"workers"`
-	Backend    string  `json:"backend,omitempty"`
 	ConfigHash string  `json:"config_hash"`
 	GoVersion  string  `json:"go_version"`
 	DurationS  float64 `json:"duration_s"`
@@ -43,7 +45,6 @@ func WriteBenchJSON(path, tool, scaleName string, s Scale, start time.Time, rows
 		Scale:      scaleName,
 		Seed:       s.Seed,
 		Workers:    s.Workers,
-		Backend:    s.Backend,
 		ConfigHash: s.ConfigHash(),
 		GoVersion:  runtime.Version(),
 		DurationS:  time.Since(start).Seconds(),

@@ -34,29 +34,25 @@ func (s Scale) PredictorConfig() predict.LSTGATConfig {
 	cfg := predict.DefaultLSTGATConfig()
 	cfg.AttnDim, cfg.GATOut, cfg.HiddenDim = s.PredHidden, s.PredGATOut, s.PredHidden
 	cfg.LR = s.PredLR
-	cfg.Backend = s.Backend
 	return cfg
 }
 
-// SaveModule checkpoints one module to path, tagged with the tensor
-// backend it was trained under ("" or "f64" keeps the legacy untagged
-// byte format, so f64 checkpoints stay byte-identical).
-func SaveModule(path string, m nn.Module, backend string) error {
+// SaveModule checkpoints one module to path.
+func SaveModule(path string, m nn.Module) error {
 	return obs.WriteFileAtomic(path, func(w io.Writer) error {
-		return nn.SaveTagged(w, m, backend)
+		return nn.Save(w, m)
 	})
 }
 
 // LoadModule restores a checkpoint written by SaveModule into an
-// identically constructed module running under the same backend; a
-// mismatch refuses with an error naming both backends.
-func LoadModule(path string, m nn.Module, backend string) error {
+// identically constructed module.
+func LoadModule(path string, m nn.Module) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return nn.LoadTagged(f, m, backend)
+	return nn.Load(f, m)
 }
 
 // LoadCheckpoint reconstructs the trained LST-GAT + BP-DQN pair from a
@@ -66,12 +62,12 @@ func LoadModule(path string, m nn.Module, backend string) error {
 func LoadCheckpoint(s Scale, dir string) (*predict.LSTGAT, *rl.PDQN, error) {
 	rng := rand.New(rand.NewSource(s.Seed))
 	predictor := predict.NewLSTGAT(s.PredictorConfig(), rng)
-	if err := LoadModule(filepath.Join(dir, CkptLSTGAT), predictor, s.Backend); err != nil {
+	if err := LoadModule(filepath.Join(dir, CkptLSTGAT), predictor); err != nil {
 		return nil, nil, err
 	}
 	cfg := s.EnvConfig()
 	agent := rl.NewBPDQN(s.RLConfig(), rl.DefaultStateSpec(), cfg.Traffic.World.AMax, s.RLHidden, rng)
-	if err := LoadModule(filepath.Join(dir, CkptBPDQN), agent, s.Backend); err != nil {
+	if err := LoadModule(filepath.Join(dir, CkptBPDQN), agent); err != nil {
 		return nil, nil, err
 	}
 	return predictor, agent, nil

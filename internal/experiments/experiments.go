@@ -69,22 +69,15 @@ type Scale struct {
 	// evaluation episodes, gradient chunks); 0 means all cores. Every
 	// random stream is derived from (Seed, unit index) and results reduce
 	// in unit order, so the table metrics do not depend on this knob —
-	// only wall-clock time does.
+	// only wall-clock time does — and ConfigHash leaves it out.
 	Workers int
 	// BatchEnvs is the batched-execution width: evaluation episodes run in
 	// lock-step groups of this size (internal/batch), and training enables
 	// the agent's out-of-band batch mechanisms (batched target-network
 	// evaluation, replay prefetch). Like Workers it is a throughput knob
 	// only — table bytes and checkpoints are bit-identical for every
-	// value, which the golden test gates.
+	// value, which the golden test gates — and ConfigHash leaves it out.
 	BatchEnvs int
-	// Backend names the tensor backend the model forwards run on: "" or
-	// "f64" is the float64 golden path (table bytes and checkpoints
-	// bit-identical to the pre-backend kernels), "f32" the float32 fast
-	// path (Table I/III metrics within tolerance fences, gated by the
-	// backend tests). Unlike Workers/BatchEnvs this knob DOES change
-	// numerics, so it participates in ConfigHash.
-	Backend string
 
 	// Metrics and Progress attach run observability to every training and
 	// evaluation loop the suite executes; both are optional (nil disables)
@@ -295,7 +288,6 @@ func (s Scale) rlConfig() rl.PDQNConfig {
 	cfg := rl.DefaultPDQNConfig()
 	cfg.Warmup = s.RLWarmup
 	cfg.Eps.DecaySteps = s.EpsDecay
-	cfg.Backend = s.Backend
 	return cfg
 }
 
@@ -476,7 +468,7 @@ func TableIIIIV(s Scale) ([]PredRow, error) {
 	}
 	ds.Shuffle(rng)
 	train, test := ds.Split(0.8)
-	bc := predict.BaselineConfig{HiddenDim: s.PredHidden, LR: s.PredLR, Z: 5, Backend: s.Backend}
+	bc := predict.BaselineConfig{HiddenDim: s.PredHidden, LR: s.PredLR, Z: 5}
 	gc := s.PredictorConfig()
 	builders := []func(r *rand.Rand) predict.Model{
 		func(r *rand.Rand) predict.Model { return predict.NewLSTMMLP(bc, r) },

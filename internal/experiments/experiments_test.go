@@ -150,6 +150,29 @@ func TestScalePresets(t *testing.T) {
 	}
 }
 
+// TestConfigHashIgnoresThroughputKnobs: Workers and BatchEnvs change
+// wall-clock time only, so they must not split the config hash (a
+// baseline written by a parallel, batched headtrain run must match a
+// headserve process that sets neither), while a results-relevant knob
+// such as Seed must.
+func TestConfigHashIgnoresThroughputKnobs(t *testing.T) {
+	want := Quick().ConfigHash()
+	for _, workers := range []int{0, 1, 8} {
+		for _, envs := range []int{0, 1, 8} {
+			s := Quick()
+			s.Workers, s.BatchEnvs = workers, envs
+			if got := s.ConfigHash(); got != want {
+				t.Errorf("Workers=%d BatchEnvs=%d: hash %s, want %s", workers, envs, got, want)
+			}
+		}
+	}
+	s := Quick()
+	s.Seed++
+	if s.ConfigHash() == want {
+		t.Error("changing Seed left the config hash unchanged")
+	}
+}
+
 // TestWriteBenchJSONFailureKeepsOldFile: a snapshot whose rows fail to
 // encode (encoding/json rejects NaN) leaves the previous snapshot
 // byte-identical and no temporary file beside it.

@@ -31,14 +31,6 @@ func DefaultFrameworkConfig() FrameworkConfig {
 	}
 }
 
-// ApplyBackend stamps one tensor backend name ("f64" or "f32") into every
-// model config of the stack, so the perception and decision networks run
-// their forward products at the same precision.
-func (c *FrameworkConfig) ApplyBackend(name string) {
-	c.Predict.Backend = name
-	c.RL.Backend = name
-}
-
 // Framework is the assembled HEAD system: enhanced perception (inside the
 // Env) plus the maneuver decision agent. It is the programmatic
 // counterpart of Figure 1 and the object a downstream user trains, saves,
@@ -83,27 +75,24 @@ func (f *Framework) Controller() Controller {
 	return &AgentController{ControllerName: "HEAD", Agent: f.Agent}
 }
 
-// Save checkpoints both models, tagging each with its tensor backend so a
-// mismatched Load refuses instead of silently changing numerics (f64
-// checkpoints keep the legacy untagged byte format).
+// Save checkpoints both models.
 func (f *Framework) Save(w io.Writer) error {
-	if err := nn.SaveTagged(w, f.Predictor, f.Cfg.Predict.Backend); err != nil {
+	if err := nn.Save(w, f.Predictor); err != nil {
 		return fmt.Errorf("head: save predictor: %w", err)
 	}
-	if err := nn.SaveTagged(w, f.Agent, f.Cfg.RL.Backend); err != nil {
+	if err := nn.Save(w, f.Agent); err != nil {
 		return fmt.Errorf("head: save agent: %w", err)
 	}
 	return nil
 }
 
 // Load restores both models from a checkpoint written by Save into an
-// identically configured framework (including the tensor backend — a
-// checkpoint trained under one backend refuses to load under another).
+// identically configured framework.
 func (f *Framework) Load(r io.Reader) error {
-	if err := nn.LoadTagged(r, f.Predictor, f.Cfg.Predict.Backend); err != nil {
+	if err := nn.Load(r, f.Predictor); err != nil {
 		return fmt.Errorf("head: load predictor: %w", err)
 	}
-	if err := nn.LoadTagged(r, f.Agent, f.Cfg.RL.Backend); err != nil {
+	if err := nn.Load(r, f.Agent); err != nil {
 		return fmt.Errorf("head: load agent: %w", err)
 	}
 	return nil

@@ -43,7 +43,6 @@ type GAT struct {
 	dAlpha    []float64
 	ws        tensor.Workspace
 	params    []*Param
-	be        tensor.Backend // nil means tensor.F64
 }
 
 // NewGAT returns a Xavier-initialized graph attention layer mapping In-dim
@@ -76,15 +75,10 @@ func (g *GAT) Params() []*Param { return g.params }
 // spatial-temporal graph.
 func (g *GAT) Share() *GAT {
 	s := &GAT{In: g.In, AttnDim: g.AttnDim, Out: g.Out, Residual: g.Residual,
-		Uniform: g.Uniform, Phi1: g.Phi1, Phi2: g.Phi2, Phi3: g.Phi3, be: g.be}
+		Uniform: g.Uniform, Phi1: g.Phi1, Phi2: g.Phi2, Phi3: g.Phi3}
 	s.params = []*Param{s.Phi1, s.Phi2, s.Phi3}
 	return s
 }
-
-// SetBackend routes the node feature transforms (nodes·φ1, nodes·φ3)
-// through be (nil restores the default f64 backend). The per-target
-// attention loop and Backward stay float64.
-func (g *GAT) SetBackend(be tensor.Backend) { g.be = be }
 
 // Alphas returns the normalized attention weights of the most recent
 // Forward: one row per target, one weight per neighbor (uniform 1/|N(i)|
@@ -109,9 +103,8 @@ func (g *GAT) Forward(nodes *tensor.Matrix, targets []int, neighbors [][]int) *t
 	g.ws.Reset()
 	g.u = g.ws.Get(nodes.Rows, g.AttnDim)
 	g.w = g.ws.Get(nodes.Rows, g.Out)
-	be := backendOr(g.be)
-	be.MatMul(&g.ws, g.u, nodes, g.Phi1.H())
-	be.MatMul(&g.ws, g.w, nodes, g.Phi3.H())
+	tensor.MatMulDotInto(g.u, nodes, g.Phi1.H().T())
+	tensor.MatMulDotInto(g.w, nodes, g.Phi3.H().T())
 	D := g.AttnDim
 	phi2a := g.Phi2.W.Data[:D]
 	phi2b := g.Phi2.W.Data[D:]

@@ -28,7 +28,6 @@ type Linear struct {
 	lastX   *tensor.Matrix
 	ws      tensor.Workspace
 	params  []*Param
-	be      tensor.Backend // nil means tensor.F64
 }
 
 // NewLinear returns a Xavier-initialized in→out fully connected layer.
@@ -50,16 +49,12 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 // always copies.
 func (l *Linear) Params() []*Param { return l.params }
 
-// SetBackend routes the forward product through be (nil restores the
-// default f64 backend). Backward stays float64 regardless.
-func (l *Linear) SetBackend(be tensor.Backend) { l.be = be }
-
 // Forward implements Layer.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.lastX = x
 	l.ws.Reset()
 	y := l.ws.Get(x.Rows, l.Out)
-	backendOr(l.be).MatMulAddBias(&l.ws, y, x, l.Weight.H(), l.Bias.H())
+	tensor.MatMulAddBiasDotInto(y, x, l.Weight.H().T(), l.Bias.W)
 	return y
 }
 
@@ -158,22 +153,16 @@ func (r *LeakyReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 type Tanh struct {
 	lastY *tensor.Matrix
 	ws    tensor.Workspace
-	be    tensor.Backend // nil means tensor.F64
 }
 
 // Params implements Module.
 func (t *Tanh) Params() []*Param { return nil }
 
-// SetBackend evaluates the activation at be's precision. The ReLU family
-// has no backend seam: on values widened from f32 products a rectification
-// is exact at either precision, but tanh is not.
-func (t *Tanh) SetBackend(be tensor.Backend) { t.be = be }
-
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Matrix) *tensor.Matrix {
 	t.ws.Reset()
 	t.lastY = t.ws.Get(x.Rows, x.Cols)
-	backendOr(t.be).Tanh(t.lastY, x)
+	tensor.TanhInto(t.lastY, x)
 	return t.lastY
 }
 
@@ -211,16 +200,6 @@ func NewSequential(layers ...Layer) *Sequential {
 // len == cap at construction so per-step parameter walks allocate nothing
 // and caller appends always copy.
 func (s *Sequential) Params() []*Param { return s.params }
-
-// SetBackend assigns be to every child layer that supports backend
-// selection.
-func (s *Sequential) SetBackend(be tensor.Backend) {
-	for _, l := range s.Layers {
-		if bs, ok := l.(backendSettable); ok {
-			bs.SetBackend(be)
-		}
-	}
-}
 
 // Forward implements Layer.
 func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {

@@ -26,7 +26,6 @@ type LSTM struct {
 	dxs           []*tensor.Matrix
 	ws            tensor.Workspace
 	params        []*Param
-	be            tensor.Backend // nil means tensor.F64
 }
 
 // NewLSTM returns a Xavier-initialized LSTM with the given input and hidden
@@ -54,16 +53,11 @@ func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
 // per-step parameter walks allocate nothing.
 func (l *LSTM) Params() []*Param { return l.params }
 
-// SetBackend routes the per-step pre-activation products through be (nil
-// restores the default f64 backend). The gate nonlinearities and Backward
-// stay float64.
-func (l *LSTM) SetBackend(be tensor.Backend) { l.be = be }
-
-// Share returns a new LSTM that shares l's parameters (and backend) but
-// has independent forward caches, so the same recurrent weights can encode
-// several sequences within one backward pass.
+// Share returns a new LSTM that shares l's parameters but has independent
+// forward caches, so the same recurrent weights can encode several
+// sequences within one backward pass.
 func (l *LSTM) Share() *LSTM {
-	s := &LSTM{In: l.In, Hidden: l.Hidden, Wx: l.Wx, Wh: l.Wh, B: l.B, be: l.be}
+	s := &LSTM{In: l.In, Hidden: l.Hidden, Wx: l.Wx, Wh: l.Wh, B: l.B}
 	s.params = []*Param{s.Wx, s.Wh, s.B}
 	return s
 }
@@ -90,14 +84,13 @@ func (l *LSTM) Forward(seq []*tensor.Matrix) []*tensor.Matrix {
 	}
 	batch := seq[0].Rows
 	H := l.Hidden
-	be := backendOr(l.be)
 	hPrev := l.ws.GetZero(batch, H)
 	cPrev := l.ws.GetZero(batch, H)
 	for t, x := range seq {
 		z := l.ws.Get(batch, 4*H)
 		// The fused pre-activation (Σx·Wx) + (Σh·Wh) + b runs on the
-		// backend's dot kernel against the Weights handles' cached views.
-		be.LSTMPreact(&l.ws, z, x, l.Wx.H(), hPrev, l.Wh.H(), l.B.H())
+		// dual dot kernel against the Weights handles' cached transposes.
+		tensor.MatMulDualAddBiasDotInto(z, x, l.Wx.H().T(), hPrev, l.Wh.H().T(), l.B.W)
 		c := l.ws.Get(batch, H)
 		tc := l.ws.Get(batch, H)
 		h := l.ws.Get(batch, H)

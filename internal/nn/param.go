@@ -23,7 +23,7 @@ type Param struct {
 	Name string
 	W    *tensor.Matrix
 	Grad *tensor.Matrix
-	h    *tensor.Weights // lazy generation-counted view cache over W
+	h    *tensor.Weights // lazy generation-counted transpose cache over W
 }
 
 // NewParam allocates a named rows×cols parameter with a zero gradient.
@@ -35,9 +35,8 @@ func NewParam(name string, rows, cols int) *Param {
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // H returns the parameter's tensor.Weights handle: the generation-counted
-// cache of derived views (f64 transpose, f32 mirrors) the backend kernels
-// compute against. Created on first use, so params built by struct literal
-// work too.
+// cache of the transpose the dot kernels compute against. Created on first
+// use, so params built by struct literal work too.
 func (p *Param) H() *tensor.Weights {
 	if p.h == nil {
 		p.h = tensor.NewWeights(p.W)
@@ -45,10 +44,10 @@ func (p *Param) H() *tensor.Weights {
 	return p.h
 }
 
-// Touch invalidates the cached views after a mutation of W.Data. Every
+// Touch invalidates the cached transpose after a mutation of W.Data. Every
 // weight-mutation site in this package (optimizer steps, CopyParams,
 // SoftUpdate, Load, init) calls it; code that writes W.Data directly must
-// do the same before the next backend forward.
+// do the same before the next forward.
 func (p *Param) Touch() {
 	if p.h != nil {
 		p.h.Touch()

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"head/internal/tensor"
@@ -94,31 +95,176 @@ func TestLoadAllOrNothing(t *testing.T) {
 		}},
 		{"NaN", func(last *paramBlob) { last.Data[len(last.Data)-1] = math.NaN() }},
 	} {
-		var blobs []paramBlob
-		for _, p := range src.Params() {
-			blobs = append(blobs, paramBlob{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols,
-				Data: append([]float64(nil), p.W.Data...)})
-		}
+		blobs := blobsOf(src)
 		tc.damage(&blobs[len(blobs)-1])
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(blobs); err != nil {
-			t.Fatal(err)
-		}
-
 		dst := NewMLP("m", []int{3, 8, 2}, rand.New(rand.NewSource(6)))
-		var before [][]float64
-		for _, p := range dst.Params() {
-			before = append(before, append([]float64(nil), p.W.Data...))
-		}
-		if err := Load(&buf, dst); err == nil {
+		before := blobsOf(dst)
+		if err := Load(bytes.NewReader(encodeBlobs(t, blobs)), dst); err == nil {
 			t.Fatalf("%s: load succeeded", tc.name)
 		}
-		for i, p := range dst.Params() {
-			for j, v := range p.W.Data {
-				if math.Float64bits(v) != math.Float64bits(before[i][j]) {
-					t.Fatalf("%s: parameter %s element %d changed by a failed load", tc.name, p.Name, j)
-				}
+		if !sameBits(dst, before) {
+			t.Fatalf("%s: a failed load changed the module", tc.name)
+		}
+	}
+}
+
+// TestMirrorFreshness pins the Touch discipline end to end: forwards read
+// the cached weight transpose, so an optimizer step, SoftUpdate and Load
+// must invalidate it. A stale transpose would make the post-mutation
+// forward reproduce the pre-mutation output.
+func TestMirrorFreshness(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	x := tensor.New(4, 10)
+	x.RandUniform(rng, 1)
+	l := NewLinear("lin", 10, 6, rand.New(rand.NewSource(4)))
+	before := l.Forward(x).Clone()
+
+	// One gradient step moves the weights; the next forward must see the
+	// new values through the cached transpose.
+	dy := tensor.New(4, 6)
+	dy.Fill(0.1)
+	l.Backward(dy)
+	opt := NewAdam(0.05)
+	opt.Step(l)
+	fresh := NewLinear("lin", 10, 6, rand.New(rand.NewSource(5)))
+	CopyParams(fresh, l)
+	want := fresh.Forward(x)
+	got := l.Forward(x)
+	if !tensor.Equal(got, want, 0) {
+		t.Fatal("forward after optimizer step served a stale transpose")
+	}
+	if tensor.Equal(got, before, 0) {
+		t.Fatal("optimizer step did not change the forward at all")
+	}
+
+	// SoftUpdate must also refresh the destination's transpose.
+	other := NewLinear("lin", 10, 6, rand.New(rand.NewSource(6)))
+	_ = other.Forward(x) // warm the transpose cache
+	SoftUpdate(other, l, 0.5)
+	check := NewLinear("lin", 10, 6, rand.New(rand.NewSource(7)))
+	CopyParams(check, other)
+	if !tensor.Equal(other.Forward(x), check.Forward(x), 0) {
+		t.Fatal("forward after SoftUpdate served a stale transpose")
+	}
+
+	// So must Load: warm the cache, load different weights, and the next
+	// forward must equal the saved module's.
+	src := NewLinear("lin", 10, 6, rand.New(rand.NewSource(8)))
+	var buf bytes.Buffer
+	if err := Save(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewLinear("lin", 10, 6, rand.New(rand.NewSource(9)))
+	warm := dst.Forward(x).Clone()
+	if err := Load(&buf, dst); err != nil {
+		t.Fatal(err)
+	}
+	loaded := dst.Forward(x)
+	if !tensor.Equal(loaded, src.Forward(x), 0) {
+		t.Fatal("forward after Load served a stale transpose")
+	}
+	if tensor.Equal(loaded, warm, 0) {
+		t.Fatal("Load did not change the forward at all")
+	}
+}
+
+// blobsOf copies m's parameters into the records Save writes.
+func blobsOf(m Module) []paramBlob {
+	var blobs []paramBlob
+	for _, p := range m.Params() {
+		blobs = append(blobs, paramBlob{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols,
+			Data: append([]float64(nil), p.W.Data...)})
+	}
+	return blobs
+}
+
+// encodeBlobs gob-encodes blobs as one checkpoint stream.
+func encodeBlobs(t testing.TB, blobs []paramBlob) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(blobs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameBits reports whether m's parameters are bit-identical to the data
+// of want, blob for blob.
+func sameBits(m Module, want []paramBlob) bool {
+	for i, p := range m.Params() {
+		for j, v := range p.W.Data {
+			if math.Float64bits(v) != math.Float64bits(want[i].Data[j]) {
+				return false
 			}
 		}
 	}
+	return true
+}
+
+// f32Tag is the zero-sized leading blob with which earlier versions tagged
+// a checkpoint trained under their float32 forward path.
+var f32Tag = paramBlob{Name: "!backend:f32"}
+
+// TestLoadRefusesF32Checkpoint checks that a checkpoint written by the
+// float32 forward path of earlier versions — the parameters behind a
+// leading "!backend:f32" tag blob — is refused by Load's ordinary count
+// and name validation, with the module left untouched.
+func TestLoadRefusesF32Checkpoint(t *testing.T) {
+	src := NewLinear("lin", 5, 3, rand.New(rand.NewSource(8)))
+	tagged := encodeBlobs(t, append([]paramBlob{f32Tag}, blobsOf(src)...))
+	for _, tc := range []struct {
+		name string
+		dst  Module
+		want string
+	}{
+		// The tag makes one blob more than the module has parameters.
+		{"same architecture", NewLinear("lin", 5, 3, rand.New(rand.NewSource(9))), "count mismatch"},
+		// A module with one parameter more meets the tag in slot 0.
+		{"count coincides", NewLSTM("lin", 5, 3, rand.New(rand.NewSource(10))), "name mismatch"},
+	} {
+		before := blobsOf(tc.dst)
+		err := Load(bytes.NewReader(tagged), tc.dst)
+		if err == nil {
+			t.Fatalf("%s: loading an f32-tagged checkpoint succeeded", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want a %s", tc.name, err, tc.want)
+		}
+		if !sameBits(tc.dst, before) {
+			t.Fatalf("%s: a refused load changed the module", tc.name)
+		}
+	}
+}
+
+// FuzzLoad feeds the checkpoint decoder arbitrary bytes. Load must never
+// panic; a failed Load must leave every parameter byte-identical; a
+// successful Load must restore exactly the values in the stream.
+func FuzzLoad(f *testing.F) {
+	newModule := func() *Sequential { return NewMLP("m", []int{3, 4, 2}, rand.New(rand.NewSource(11))) }
+	src := NewMLP("m", []int{3, 4, 2}, rand.New(rand.NewSource(12)))
+	for _, seed := range [][]byte{
+		encodeBlobs(f, blobsOf(src)),
+		encodeBlobs(f, append([]paramBlob{f32Tag}, blobsOf(src)...)),
+	} {
+		f.Add(seed)
+		for _, n := range []int{1, len(seed) / 3, len(seed) / 2, len(seed) - 1} {
+			f.Add(seed[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newModule()
+		before := blobsOf(m)
+		if err := Load(bytes.NewReader(data), m); err != nil {
+			if !sameBits(m, before) {
+				t.Fatalf("failed load (%v) changed the module", err)
+			}
+			return
+		}
+		var saved []paramBlob
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&saved); err != nil {
+			t.Fatalf("Load accepted a stream gob cannot decode: %v", err)
+		}
+		if !sameBits(m, saved) {
+			t.Fatal("successful load did not restore the saved values")
+		}
+	})
 }

@@ -22,7 +22,6 @@ type Manifest struct {
 	Scale      string             `json:"scale,omitempty"`
 	Seed       int64              `json:"seed"`
 	Workers    int                `json:"workers"`
-	Backend    string             `json:"backend,omitempty"`
 	ConfigHash string             `json:"config_hash,omitempty"`
 	GoVersion  string             `json:"go_version,omitempty"`
 	Start      time.Time          `json:"start"`

@@ -2,9 +2,11 @@ package phantom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"head/internal/sensor"
+	"head/internal/traffic"
 	"head/internal/world"
 )
 
@@ -296,4 +298,102 @@ func TestMissingKindString(t *testing.T) {
 	if MissingKind(99).String() != "unknown" {
 		t.Error("unknown kind")
 	}
+}
+
+// shiftFrames deep-copies frames with c added to the Lon of the AV and of
+// every observed vehicle.
+func shiftFrames(frames []sensor.Frame, c float64) []sensor.Frame {
+	out := make([]sensor.Frame, len(frames))
+	for t, f := range frames {
+		av := f.AV
+		av.Lon += c
+		obs := make(map[int]world.State, len(f.Observed))
+		for id, st := range f.Observed {
+			st.Lon += c
+			obs[id] = st
+		}
+		out[t] = sensor.Frame{AV: av, Observed: obs}
+	}
+	return out
+}
+
+// TestBuildLongitudinalTranslation is the metamorphic check implied by the
+// relative-state formulation of Equations (1)–(3) and (7): shifting the AV
+// and every vehicle by the same longitudinal distance c must leave every
+// relative node feature unchanged up to rounding, keep the same targets,
+// and move only the lon column of the AV-occupied slots (Eq. 8 row 1 feeds
+// the raw AV state), by exactly c up to rounding. The histories come from
+// the default paper-scale traffic seen through the default sensor.
+func TestBuildLongitudinalTranslation(t *testing.T) {
+	tcfg := traffic.DefaultConfig()
+	scfg := sensor.DefaultConfig()
+	wc := tcfg.World
+	b := NewBuilder(Config{Lanes: wc.Lanes, LaneWidth: wc.LaneWidth, R: scfg.R, Dt: wc.Dt})
+	idm := traffic.DriverParams{DesiredV: wc.VMax, TimeHeadway: 1.5, MinGap: 2, MaxAccel: 1.5, ComfortDecel: 2}
+	const tol = 1e-9
+	var worstRel, worstLon float64
+	for seed := int64(1); seed <= 8; seed++ {
+		sim, err := traffic.New(tcfg, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sens := sensor.New(scfg, wc.LaneWidth)
+		for step := 0; step < scfg.Z+20; step++ {
+			sens.Observe(sim.AV.State, sim.Vehicles)
+			if sens.Ready() {
+				frames := sens.History()
+				base := b.Build(shiftFrames(frames, 0))
+				for _, c := range []float64{0.1, -250.5, 1000, 65536} {
+					g := b.Build(shiftFrames(frames, c))
+					for i := Slot(0); i < NumSlots; i++ {
+						if g.Info[i].Kind != base.Info[i].Kind || g.Info[i].ID != base.Info[i].ID {
+							t.Fatalf("seed %d step %d shift %g: target %d is %v/%d, want %v/%d", seed, step, c, i,
+								g.Info[i].Kind, g.Info[i].ID, base.Info[i].Kind, base.Info[i].ID)
+						}
+					}
+					for tau := range g.Steps {
+						for n, f := range g.Steps[tau] {
+							want := base.Steps[tau][n]
+							if isAVNode(n) {
+								if f[0] != want[0] || f[2] != want[2] || f[3] != want[3] {
+									t.Fatalf("seed %d step %d shift %g: AV node %d lat/v/flag %v, want %v", seed, step, c, n, f, want)
+								}
+								d := math.Abs(f[1] - (want[1] + c))
+								worstLon = math.Max(worstLon, d)
+								if d > tol {
+									t.Fatalf("seed %d step %d shift %g: AV node %d lon %v, want %v+%v", seed, step, c, n, f[1], want[1], c)
+								}
+								continue
+							}
+							for k := range f {
+								d := math.Abs(f[k] - want[k])
+								worstRel = math.Max(worstRel, d)
+								if d > tol {
+									t.Fatalf("seed %d step %d shift %g: node %d feature %d %v, want %v", seed, step, c, n, k, f[k], want[k])
+								}
+							}
+						}
+					}
+				}
+			}
+			leader := sim.Leader(sim.AV.State.Lat, sim.AV.State.Lon, sim.AV)
+			gap, dv := math.Inf(1), 0.0
+			if leader != nil {
+				gap = leader.State.Lon - sim.AV.State.Lon - wc.VehicleLen
+				dv = sim.AV.State.V - leader.State.V
+			}
+			sim.Step(world.Maneuver{B: world.LaneKeep, A: wc.ClampAccel(traffic.IDMAccel(idm, sim.AV.State.V, gap, dv))})
+		}
+	}
+	t.Logf("worst deviation: relative features %.3g, AV lon %.3g", worstRel, worstLon)
+}
+
+// isAVNode reports whether node n is the surrounder slot the AV occupies.
+func isAVNode(n int) bool {
+	for i := Slot(0); i < NumSlots; i++ {
+		if n == SurrounderNode(i, avSlot(i)) {
+			return true
+		}
+	}
+	return false
 }

@@ -14,9 +14,6 @@ type BaselineConfig struct {
 	HiddenDim int
 	LR        float64
 	Z         int
-	// Backend names the tensor backend the forward products run on; see
-	// LSTGATConfig.Backend.
-	Backend string
 }
 
 // DefaultBaselineConfig matches the paper's 64-dim hidden layers. The
@@ -46,7 +43,6 @@ func NewLSTMMLP(cfg BaselineConfig, rng *rand.Rand) *LSTMMLP {
 		opt:   nn.NewAdam(cfg.LR),
 		scale: defaultScaler(),
 	}
-	nn.SetBackend(tensor.MustLookup(cfg.Backend), m.lstm, m.mlp)
 	return m
 }
 
@@ -128,7 +124,6 @@ func NewEDLSTM(cfg BaselineConfig, rng *rand.Rand) *EDLSTM {
 		opt:   nn.NewAdam(cfg.LR),
 		scale: defaultScaler(),
 	}
-	nn.SetBackend(tensor.MustLookup(cfg.Backend), m.enc, m.dec, m.out)
 	return m
 }
 
@@ -222,9 +217,6 @@ func NewGASLED(cfg BaselineConfig, rng *rand.Rand) *GASLED {
 		opt:   nn.NewAdam(cfg.LR),
 		scale: defaultScaler(),
 	}
-	// The per-target encoders in encodeAll are Share views of enc, so they
-	// inherit the backend set here.
-	nn.SetBackend(tensor.MustLookup(cfg.Backend), m.enc, m.attn, m.out)
 	return m
 }
 

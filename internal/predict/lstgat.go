@@ -16,16 +16,15 @@ import (
 // a linear read-out emits the one-step future state of all six targets in
 // parallel (Equation (13)).
 type LSTGAT struct {
-	cfg     LSTGATConfig
-	backend string
-	gat     *nn.GAT
-	gats    []*nn.GAT // per-step weight-sharing views
-	lstm    *nn.LSTM
-	out     *nn.Linear
-	opt     *nn.Adam
-	scale   scaler
-	z       int
-	lastT   int // index of the most recent history step run through forward
+	cfg   LSTGATConfig
+	gat   *nn.GAT
+	gats  []*nn.GAT // per-step weight-sharing views
+	lstm  *nn.LSTM
+	out   *nn.Linear
+	opt   *nn.Adam
+	scale scaler
+	z     int
+	lastT int // index of the most recent history step run through forward
 
 	// steady-state scratch: per-step node/input matrices live in ws (valid
 	// until the next forward), seq and dHidden reuse their backing arrays,
@@ -51,10 +50,6 @@ type LSTGATConfig struct {
 	// UniformAttention replaces the learned importance scores with mean
 	// aggregation — the ablation of the graph attention mechanism.
 	UniformAttention bool
-	// Backend names the tensor backend the forward products run on ("" or
-	// "f64" for the float64 golden path, "f32" for the float32 fast path).
-	// Training gradients and optimizer state stay float64 either way.
-	Backend string
 }
 
 // DefaultLSTGATConfig returns the paper's dimensions. The learning rate is
@@ -86,38 +81,29 @@ const gatInDim = phantom.FeatureDim + 1
 
 // NewLSTGAT builds an LST-GAT model.
 func NewLSTGAT(cfg LSTGATConfig, rng *rand.Rand) *LSTGAT {
-	be := tensor.MustLookup(cfg.Backend)
 	gat := nn.NewGAT("lstgat.gat", gatInDim, cfg.AttnDim, cfg.GATOut, rng)
 	gat.Residual = true
 	gat.Uniform = cfg.UniformAttention
-	// Set the backend before taking weight-sharing views: Share copies it.
-	gat.SetBackend(be)
 	gats := make([]*nn.GAT, cfg.Z)
 	for i := range gats {
 		gats[i] = gat.Share()
 	}
 	lstm := nn.NewLSTM("lstgat.lstm", phantom.FeatureDim+cfg.GATOut, cfg.HiddenDim, rng)
 	out := nn.NewLinear("lstgat.out", cfg.HiddenDim, OutputDim, rng)
-	nn.SetBackend(be, lstm, out)
 	return &LSTGAT{
-		cfg:     cfg,
-		backend: be.Name(),
-		gat:     gat,
-		gats:    gats,
-		lstm:    lstm,
-		out:     out,
-		opt:     nn.NewAdam(cfg.LR),
-		scale:   defaultScaler(),
-		z:       cfg.Z,
+		cfg:   cfg,
+		gat:   gat,
+		gats:  gats,
+		lstm:  lstm,
+		out:   out,
+		opt:   nn.NewAdam(cfg.LR),
+		scale: defaultScaler(),
+		z:     cfg.Z,
 	}
 }
 
 // Name implements Model.
 func (m *LSTGAT) Name() string { return "LST-GAT" }
-
-// Backend reports the resolved tensor backend name the forward products
-// run on ("f64" when the config left it empty).
-func (m *LSTGAT) Backend() string { return m.backend }
 
 // Clone returns an independent copy of the model: identical architecture
 // and parameter values, fresh optimizer state and forward caches. Layers

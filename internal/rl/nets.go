@@ -82,8 +82,6 @@ func newBranch(name string, in, hidden int, rng *rand.Rand) *branch {
 
 func (b *branch) Params() []*nn.Param { return b.seq.Params() }
 
-func (b *branch) setBackend(be tensor.Backend) { b.seq.SetBackend(be) }
-
 // concatParams flattens parameter groups into one exact-capacity slice, so
 // Params() can return a construction-time cache that per-step parameter
 // walks read without allocating (and that caller appends always copy).
@@ -145,15 +143,6 @@ func NewBranchedX(spec StateSpec, d int, aMax float64, rng *rand.Rand) *Branched
 // branch, merge — the serialization order) so parameter walks allocate
 // nothing.
 func (x *BranchedX) Params() []*nn.Param { return x.params }
-
-// SetBackend routes the forward products of both branches, the merge head,
-// and the bounding Tanh through be. Backward stays float64.
-func (x *BranchedX) SetBackend(be tensor.Backend) {
-	x.hBranch.setBackend(be)
-	x.fBranch.setBackend(be)
-	x.merge.SetBackend(be)
-	x.tanh.SetBackend(be)
-}
 
 // Forward implements XNet.
 func (x *BranchedX) Forward(states [][]float64) *tensor.Matrix {
@@ -226,15 +215,6 @@ func NewBranchedQ(spec StateSpec, d int, rng *rand.Rand) *BranchedQ {
 // allocate nothing.
 func (q *BranchedQ) Params() []*nn.Param { return q.params }
 
-// SetBackend routes the forward products of all three branches and the
-// merge head through be. Backward stays float64.
-func (q *BranchedQ) SetBackend(be tensor.Backend) {
-	q.hBranch.setBackend(be)
-	q.fBranch.setBackend(be)
-	q.xBranch.SetBackend(be)
-	q.merge.SetBackend(be)
-}
-
 // Forward implements QNet.
 func (q *BranchedQ) Forward(states [][]float64, xout *tensor.Matrix) *tensor.Matrix {
 	B := len(states)
@@ -300,12 +280,6 @@ func NewSharedX(spec StateSpec, h int, aMax float64, rng *rand.Rand) *SharedX {
 // Params implements nn.Module.
 func (x *SharedX) Params() []*nn.Param { return x.mlp.Params() }
 
-// SetBackend routes the MLP products and the bounding Tanh through be.
-func (x *SharedX) SetBackend(be tensor.Backend) {
-	x.mlp.SetBackend(be)
-	x.tanh.SetBackend(be)
-}
-
 // Forward implements XNet.
 func (x *SharedX) Forward(states [][]float64) *tensor.Matrix {
 	B := len(states)
@@ -354,9 +328,6 @@ func NewSharedQ(spec StateSpec, h int, rng *rand.Rand) *SharedQ {
 
 // Params implements nn.Module.
 func (q *SharedQ) Params() []*nn.Param { return q.mlp.Params() }
-
-// SetBackend routes the MLP products through be.
-func (q *SharedQ) SetBackend(be tensor.Backend) { q.mlp.SetBackend(be) }
 
 // Forward implements QNet.
 func (q *SharedQ) Forward(states [][]float64, xout *tensor.Matrix) *tensor.Matrix {

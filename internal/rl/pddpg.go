@@ -77,8 +77,6 @@ func NewPDDPG(cfg PDQNConfig, spec StateSpec, aMax float64, h int, rng *rand.Ran
 		buf:             NewReplay(cfg.ReplayCap),
 		rng:             rng,
 	}
-	nn.SetBackend(tensor.MustLookup(cfg.Backend),
-		p.actor, p.actorT, p.critic, p.criticT, p.actorTanh, p.actorTargetTanh)
 	nn.CopyParams(p.actorT, p.actor)
 	nn.CopyParams(p.criticT, p.critic)
 	return p

@@ -36,11 +36,6 @@ type PDQNConfig struct {
 	// (temporally correlated, smoother than white noise) instead of
 	// independent Gaussian draws.
 	OU bool
-	// Backend names the tensor backend the decision networks' forward
-	// products run on ("" or "f64" for the float64 golden path, "f32" for
-	// the float32 fast path). Gradients and optimizer state stay float64
-	// either way.
-	Backend string
 }
 
 // DefaultPDQNConfig returns the paper's training settings.
@@ -66,7 +61,6 @@ func DefaultPDQNConfig() PDQNConfig {
 type PDQN struct {
 	name       string
 	cfg        PDQNConfig
-	backend    string
 	aMax       float64
 	x, xT      XNet // online and target actor networks
 	qn, qT     QNet // online and target critic networks
@@ -111,22 +105,19 @@ type PDQN struct {
 // networks are synchronized to the online ones at construction.
 func NewPDQN(name string, cfg PDQNConfig, aMax float64,
 	x, xTarget XNet, q, qTarget QNet, rng *rand.Rand) *PDQN {
-	be := tensor.MustLookup(cfg.Backend)
-	nn.SetBackend(be, x, xTarget, q, qTarget)
 	nn.CopyParams(xTarget, x)
 	nn.CopyParams(qTarget, q)
 	p := &PDQN{
-		name:    name,
-		cfg:     cfg,
-		backend: be.Name(),
-		aMax:    aMax,
-		x:       x,
-		qn:      q,
-		xT:      xTarget,
-		qT:      qTarget,
-		optX:    nn.NewAdam(cfg.LR),
-		optQ:    nn.NewAdam(cfg.LR),
-		rng:     rng,
+		name: name,
+		cfg:  cfg,
+		aMax: aMax,
+		x:    x,
+		qn:   q,
+		xT:   xTarget,
+		qT:   qTarget,
+		optX: nn.NewAdam(cfg.LR),
+		optQ: nn.NewAdam(cfg.LR),
+		rng:  rng,
 	}
 	if cfg.PER {
 		alpha := cfg.PERAlpha
@@ -173,10 +164,6 @@ func NewPQP(cfg PDQNConfig, spec StateSpec, aMax float64, h int, rng *rand.Rand)
 
 // Name implements Agent.
 func (p *PDQN) Name() string { return p.name }
-
-// Backend reports the resolved tensor backend name the decision networks'
-// forward products run on ("f64" when the config left it empty).
-func (p *PDQN) Backend() string { return p.backend }
 
 // Epsilon implements EpsilonReporter: the current ε-greedy rate.
 func (p *PDQN) Epsilon() float64 { return p.cfg.Eps.At(p.steps) }

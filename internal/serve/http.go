@@ -98,11 +98,9 @@ type byteBuf struct {
 // Chrome trace JSON), /debug/exemplars (current tail captures), and
 // /debug/quality (decision-drift status vs the behavioral baseline).
 // z is the observation history length requests must carry; backend is the
-// replicas' tensor backend name ("" reports the default "f64").
+// forward precision /healthz reports, "f64" since every forward runs in
+// float64 (the field stays so the health schema does not change).
 func NewMux(b *Batcher, z int, backend string, sessions *SessionCache, reg *obs.Registry, tel *Telemetry) *http.ServeMux {
-	if backend == "" {
-		backend = "f64"
-	}
 	mux := http.NewServeMux()
 	start := time.Now()
 	wm := &wireMetrics{}

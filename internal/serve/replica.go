@@ -85,10 +85,6 @@ func NewReplica(cfg ReplicaConfig, predictor *predict.LSTGAT, agent rl.BatchAgen
 	}
 }
 
-// Backend reports the tensor backend name the replica's perception model
-// runs its forward products on ("f64" or "f32").
-func (r *Replica) Backend() string { return r.predictor.Backend() }
-
 // framesFor rebuilds the replica's frames window from an observation. The
 // window and its maps are replica-owned scratch, valid until the next
 // call — safe because the graph builder copies everything it keeps.

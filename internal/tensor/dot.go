@@ -3,7 +3,7 @@ package tensor
 import "fmt"
 
 // This file holds the float64 dot-kernel family: the products every
-// backend forward runs, for one row or many. The weight operand arrives
+// nn layer forward runs (Linear, LSTM, GAT), for one row or many. The weight operand arrives
 // pre-transposed (Weights.T), so every dst element is a dot product of two
 // contiguous rows and the inner loops stream sequentially through memory
 // instead of striding the weight matrix by its column count.

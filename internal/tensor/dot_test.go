@@ -17,7 +17,7 @@ func garbage(rows, cols int) *Matrix {
 }
 
 // TestDotBitIdentity is the contract test for the dot-kernel family every
-// backend forward runs: each kernel must match its MatMulInto reference
+// layer forward runs: each kernel must match its MatMulInto reference
 // bit-for-bit across random shapes (crossing the 6- and 4-wide column-block
 // boundaries), with dst pre-filled with garbage, and row e of a B-row
 // product must equal the one-row product of row e.

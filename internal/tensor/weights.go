@@ -1,33 +1,28 @@
 package tensor
 
-// Weights wraps a canonical float64 parameter matrix with lazily built,
-// generation-counted derived views: the f64 transpose the dot kernels want
-// (T) and the float32 mirrors the f32 backend computes against (M32, T32).
-// A view is rebuilt from the canonical matrix the first time it is
-// requested after a Touch, then served from cache; in steady-state
-// inference (no Touch between forwards) every view access is a pointer
-// read.
+// Weights wraps a canonical float64 parameter matrix with a lazily built,
+// generation-counted transpose: the layout the dot kernels in dot.go read
+// (T). The transpose is rebuilt from the canonical matrix the first time
+// it is requested after a Touch, then served from cache; in steady-state
+// inference (no Touch between forwards) every access is a pointer read.
 //
 // Touch discipline: every mutation of the canonical matrix's Data must be
-// followed by a Touch before the next view access, or the views go stale.
-// Inside this codebase all weight mutation funnels through internal/nn
-// (optimizer steps, CopyParams/SoftUpdate, checkpoint Load, init), which
-// Touches at each site; the staleness test in internal/nn pins that.
+// followed by a Touch before the next T access, or the transpose goes
+// stale. Inside this codebase all weight mutation funnels through
+// internal/nn (optimizer steps, CopyParams/SoftUpdate, checkpoint Load,
+// init), which Touches at each site; the staleness test in internal/nn
+// pins that.
 //
-// Transposition and f32 staging are pure data relayout/rounding — they
-// change which float is loaded when, never what the consuming kernel
-// multiplies or in which order — so a kernel reading T is bit-identical to
-// the same kernel transposing on the fly.
+// Transposition is pure data relayout — it changes which float is loaded
+// when, never what the consuming kernel multiplies or in which order — so
+// a kernel reading T is bit-identical to the same kernel transposing on
+// the fly.
 type Weights struct {
 	m   *Matrix
 	gen uint64
 
-	t      *Matrix
-	tGen   uint64
-	m32    *Matrix32
-	m32Gen uint64
-	t32    *Matrix32
-	t32Gen uint64
+	t    *Matrix
+	tGen uint64
 }
 
 // NewWeights wraps m. The wrapper aliases m — it does not copy — so
@@ -39,7 +34,7 @@ func NewWeights(m *Matrix) *Weights {
 // Mat returns the canonical float64 matrix.
 func (w *Weights) Mat() *Matrix { return w.m }
 
-// Touch invalidates every derived view; the next access rebuilds from the
+// Touch invalidates the cached transpose; the next T rebuilds it from the
 // canonical matrix. Call after any mutation of Mat().Data.
 func (w *Weights) Touch() { w.gen++ }
 
@@ -56,39 +51,4 @@ func (w *Weights) T() *Matrix {
 		w.tGen = w.gen
 	}
 	return w.t
-}
-
-// M32 returns the cached float32 rounding of the canonical matrix. Same
-// ownership rules as T.
-func (w *Weights) M32() *Matrix32 {
-	if w.m32 == nil {
-		w.m32 = New32(w.m.Rows, w.m.Cols)
-		w.m32Gen = 0
-	}
-	if w.m32Gen != w.gen {
-		Stage32(w.m32, w.m)
-		w.m32Gen = w.gen
-	}
-	return w.m32
-}
-
-// T32 returns the cached float32 rounding of the transpose. Rounding and
-// transposing commute elementwise, so this equals both Stage32(T()) and
-// Transpose(M32()); it is built directly from the canonical matrix without
-// materializing either intermediate. Same ownership rules as T.
-func (w *Weights) T32() *Matrix32 {
-	if w.t32 == nil {
-		w.t32 = New32(w.m.Cols, w.m.Rows)
-		w.t32Gen = 0
-	}
-	if w.t32Gen != w.gen {
-		for i := 0; i < w.m.Rows; i++ {
-			row := w.m.Row(i)
-			for j, v := range row {
-				w.t32.Data[j*w.m.Rows+i] = float32(v)
-			}
-		}
-		w.t32Gen = w.gen
-	}
-	return w.t32
 }

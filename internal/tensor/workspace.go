@@ -23,35 +23,20 @@ package tensor
 //
 // A Workspace is not safe for concurrent use; give each goroutine-owned
 // model replica its own (the zero value is ready to use).
-//
-// Buffers are keyed by element type as well as shape: Get hands out
-// float64 matrices, Get32 float32 ones, and an r×c request through one
-// never aliases an r×c request through the other, so the f64 and f32
-// backends can share one arena inside a process (headserve replicas).
 type Workspace struct {
 	pools map[int64]*wsPool
 }
 
 type wsPool struct {
-	bufs   []*Matrix
-	bufs32 []*Matrix32
-	next   int
+	bufs []*Matrix
+	next int
 }
 
-// Element-type tags folded into the pool key. The shape occupies the low
-// 62 bits (rows<<31 | cols, both far below 2^31 in practice), leaving the
-// top bits free to separate element types.
-const (
-	wsElemF64 = 0
-	wsElemF32 = 1
-)
-
-func wsKey(elem, rows, cols int) int64 {
-	return int64(elem)<<62 | int64(rows)<<31 | int64(uint32(cols))
-}
-
-func (w *Workspace) pool(elem, rows, cols int) *wsPool {
-	key := wsKey(elem, rows, cols)
+// Get returns an exclusively owned rows×cols float64 scratch matrix with
+// unspecified contents, valid until the next Reset.
+func (w *Workspace) Get(rows, cols int) *Matrix {
+	// Pools are keyed by rows<<31 | cols, both far below 2^31 in practice.
+	key := int64(rows)<<31 | int64(uint32(cols))
 	p := w.pools[key]
 	if p == nil {
 		if w.pools == nil {
@@ -60,13 +45,6 @@ func (w *Workspace) pool(elem, rows, cols int) *wsPool {
 		p = &wsPool{}
 		w.pools[key] = p
 	}
-	return p
-}
-
-// Get returns an exclusively owned rows×cols float64 scratch matrix with
-// unspecified contents, valid until the next Reset.
-func (w *Workspace) Get(rows, cols int) *Matrix {
-	p := w.pool(wsElemF64, rows, cols)
 	if p.next == len(p.bufs) {
 		p.bufs = append(p.bufs, New(rows, cols))
 	}
@@ -78,27 +56,6 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 // GetZero is Get with the returned matrix zeroed.
 func (w *Workspace) GetZero(rows, cols int) *Matrix {
 	m := w.Get(rows, cols)
-	m.Zero()
-	return m
-}
-
-// Get32 returns an exclusively owned rows×cols float32 scratch matrix with
-// unspecified contents, valid until the next Reset. Float32 buffers live
-// in their own pools — a Get and a Get32 of the same shape never share
-// storage.
-func (w *Workspace) Get32(rows, cols int) *Matrix32 {
-	p := w.pool(wsElemF32, rows, cols)
-	if p.next == len(p.bufs32) {
-		p.bufs32 = append(p.bufs32, New32(rows, cols))
-	}
-	m := p.bufs32[p.next]
-	p.next++
-	return m
-}
-
-// GetZero32 is Get32 with the returned matrix zeroed.
-func (w *Workspace) GetZero32(rows, cols int) *Matrix32 {
-	m := w.Get32(rows, cols)
 	m.Zero()
 	return m
 }
