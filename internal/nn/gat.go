@@ -232,21 +232,17 @@ func (g *GAT) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	// u = nodes·Phi1 ⇒ dPhi1 += nodesᵀ·du, dNodes += du·Phi1ᵀ. Each
-	// product is materialized in scratch before accumulating so every
-	// element receives one complete sum, matching the allocating chain.
-	dPhi1 := g.ws.Get(g.In, D)
-	tensor.MatMulTransAInto(dPhi1, g.nodes, du)
-	tensor.AddInPlace(g.Phi1.Grad, dPhi1)
+	// u = nodes·Phi1 ⇒ dPhi1 += nodesᵀ·du, dNodes += du·Phi1ᵀ. The node
+	// gradient products are materialized in scratch and added once each,
+	// so every element receives one complete sum per product.
+	tensor.AddMatMulTransADotInto(g.Phi1.Grad, g.nodes, du)
 	dn1 := g.ws.Get(N, g.In)
-	tensor.MatMulTransBInto(dn1, du, g.Phi1.W)
+	tensor.MatMulDotInto(dn1, du, g.Phi1.W)
 	tensor.AddInPlace(dNodes, dn1)
 	// w = nodes·Phi3 ⇒ dPhi3 += nodesᵀ·dw, dNodes += dw·Phi3ᵀ
-	dPhi3 := g.ws.Get(g.In, g.Out)
-	tensor.MatMulTransAInto(dPhi3, g.nodes, dw)
-	tensor.AddInPlace(g.Phi3.Grad, dPhi3)
+	tensor.AddMatMulTransADotInto(g.Phi3.Grad, g.nodes, dw)
 	dn3 := g.ws.Get(N, g.In)
-	tensor.MatMulTransBInto(dn3, dw, g.Phi3.W)
+	tensor.MatMulDotInto(dn3, dw, g.Phi3.W)
 	tensor.AddInPlace(dNodes, dn3)
 	return dNodes
 }

@@ -60,13 +60,10 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	// dW = xᵀ·dy, db = column sums of dy, dx = dy·Wᵀ. The products are
-	// materialized in workspace scratch before accumulating so the grad
-	// buffers receive one complete sum per element, exactly like the
-	// allocating MatMul(Transpose(…)) chain did.
-	dW := l.ws.Get(l.In, l.Out)
-	tensor.MatMulTransAInto(dW, l.lastX, dy)
-	tensor.AddInPlace(l.Weight.Grad, dW)
+	// dW += xᵀ·dy, db += column sums of dy, dx = dy·Wᵀ. The canonical
+	// weight matrix is already the transposed operand the dot kernel
+	// wants for dy·Wᵀ.
+	tensor.AddMatMulTransADotInto(l.Weight.Grad, l.lastX, dy)
 	for i := 0; i < dy.Rows; i++ {
 		row := dy.Row(i)
 		for j, g := range row {
@@ -74,7 +71,7 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	dx := l.ws.Get(dy.Rows, l.In)
-	tensor.MatMulTransBInto(dx, dy, l.Weight.W)
+	tensor.MatMulDotInto(dx, dy, l.Weight.W)
 	return dx
 }
 

@@ -10,7 +10,8 @@ import (
 // matrix whose shape must already match — shape mismatches panic, they are
 // never resized — and is bit-identical to its allocating counterpart: loop
 // and summation order are the same, so reusing buffers can never change a
-// float.
+// float. The products the layers run live in dot.go; MatMulInto and
+// MatMulAddBiasInto here are their references.
 //
 // # Aliasing contract
 //
@@ -19,17 +20,19 @@ import (
 // element (i) strictly before writing element (i), so dst may fully alias
 // any input (dst == a, dst == b, or both).
 //
-// Product and layout kernels (MatMulInto, MatMulTransAInto,
-// MatMulTransBInto, MatMulAddBiasInto, TransposeInto,
-// ConcatColsInto, SliceColsInto) read inputs while writing dst, so dst must
-// not alias an input. Full aliasing (shared first element) panics; partial
-// overlap of distinct allocations is undetectable and undefined.
+// Product and layout kernels (MatMulInto, MatMulAddBiasInto, the dot.go
+// family, TransposeInto, ConcatColsInto, SliceColsInto) read inputs while
+// writing dst, so dst must not alias an input. Full aliasing (shared first
+// element) panics; partial overlap of distinct allocations is undetectable
+// and undefined.
 //
 // # Adding a kernel
 //
 // Mirror an existing allocating op exactly — same traversal, same
 // per-element accumulation order — and add a case to the bit-identity
-// property test in into_test.go before using it anywhere.
+// property test (into_test.go here, dot_test.go for a product) before
+// using it anywhere. A new product belongs in the dot.go family: register
+// accumulators, blocked over dst columns, never over k.
 
 // checkShape panics unless m has exactly the given shape.
 func checkShape(op string, m *Matrix, rows, cols int) {
@@ -171,55 +174,6 @@ func MatMulAddBiasInto(dst, a, b, bias *Matrix) {
 		row := dst.Row(i)
 		for j, bv := range bias.Data {
 			row[j] += bv
-		}
-	}
-}
-
-// MatMulTransAInto writes aᵀ·b into dst (a is k×r, b is k×c, dst is r×c)
-// without materializing the transpose. Bit-identical to
-// MatMul(Transpose(a), b): dst[i][j] sums a[k][i]·b[k][j] over ascending k
-// from a +0 start. dst must not alias a or b.
-func MatMulTransAInto(dst, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto inner mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkShape("MatMulTransAInto", dst, a.Cols, b.Cols)
-	noAlias("MatMulTransAInto", dst, a)
-	noAlias("MatMulTransAInto", dst, b)
-	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			orow := dst.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulTransBInto writes a·bᵀ into dst (a is r×k, b is c×k, dst is r×c)
-// without materializing the transpose. Bit-identical to
-// MatMul(a, Transpose(b)): dst[i][j] sums a[i][k]·b[j][k] over ascending k
-// from a +0 start. dst must not alias a or b.
-func MatMulTransBInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto inner mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	checkShape("MatMulTransBInto", dst, a.Rows, b.Rows)
-	noAlias("MatMulTransBInto", dst, a)
-	noAlias("MatMulTransBInto", dst, b)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
 		}
 	}
 }

@@ -100,8 +100,6 @@ func TestIntoBitIdentity(t *testing.T) {
 				row[j] += bv
 			}
 		}
-		ta := randMat(rng, k, r) // for aᵀ·b with inner dim k
-		tb := randMat(rng, c, k) // for a·bᵀ with inner dim k
 		cases = append(cases,
 			struct {
 				name string
@@ -117,20 +115,6 @@ func TestIntoBitIdentity(t *testing.T) {
 				rows int
 				cols int
 			}{"MatMulAddBiasInto", biased, func(d *Matrix) { MatMulAddBiasInto(d, ma, mb, bias) }, r, c},
-			struct {
-				name string
-				want *Matrix
-				run  func(dst *Matrix)
-				rows int
-				cols int
-			}{"MatMulTransAInto", MatMul(Transpose(ta), mb), func(d *Matrix) { MatMulTransAInto(d, ta, mb) }, r, c},
-			struct {
-				name string
-				want *Matrix
-				run  func(dst *Matrix)
-				rows int
-				cols int
-			}{"MatMulTransBInto", MatMul(ma, Transpose(tb)), func(d *Matrix) { MatMulTransBInto(d, ma, tb) }, r, c},
 		)
 		for _, tc := range cases {
 			dst := garbage(tc.rows, tc.cols)
@@ -189,8 +173,6 @@ func TestIntoAliasing(t *testing.T) {
 	}{
 		{"MatMulInto", func() { MatMulInto(square, square, randMat(rng, 6, 6)) }},
 		{"MatMulInto-b", func() { MatMulInto(square, randMat(rng, 6, 6), square) }},
-		{"MatMulTransAInto", func() { MatMulTransAInto(square, square, randMat(rng, 6, 6)) }},
-		{"MatMulTransBInto", func() { MatMulTransBInto(square, randMat(rng, 6, 6), square) }},
 		{"TransposeInto", func() { TransposeInto(square, square) }},
 		{"ConcatColsInto", func() {
 			d := randMat(rng, 6, 12)
