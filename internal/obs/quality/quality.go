@@ -417,22 +417,23 @@ func rowEntropy(row []float64) (float64, bool) {
 // view: among the n observed vehicles (veh(i) returns the i-th id and
 // state), the leader is the nearest one ahead of the AV in its lane,
 // ties broken by lowest id so map-ordered callers stay deterministic.
-// Returns ok=false without a leader on a collision course. Shared by the
-// serving monitor (wire frames) and the profiled evaluation (sensor
-// frames) so both sides measure the same quantity.
+// Returns ok=false without a leader on a collision course. Any int is a
+// valid id, negative ones included. Shared by the serving monitor (wire
+// frames) and the profiled evaluation (sensor frames) so both sides
+// measure the same quantity.
 func LeaderTTC(av world.State, n int, veh func(i int) (int, world.State), vehicleLen float64) (float64, bool) {
-	bestID := -1
+	found, bestID := false, 0
 	var best world.State
 	for i := 0; i < n; i++ {
 		id, st := veh(i)
 		if st.Lat != av.Lat || st.Lon <= av.Lon {
 			continue
 		}
-		if bestID < 0 || st.Lon < best.Lon || (st.Lon == best.Lon && id < bestID) {
-			bestID, best = id, st
+		if !found || st.Lon < best.Lon || (st.Lon == best.Lon && id < bestID) {
+			found, bestID, best = true, id, st
 		}
 	}
-	if bestID < 0 {
+	if !found {
 		return 0, false
 	}
 	return world.TTC(av, best, vehicleLen)

@@ -236,3 +236,24 @@ func TestLeaderTTC(t *testing.T) {
 		t.Fatal("no vehicles must not report a TTC")
 	}
 }
+
+// TestLeaderTTCNegativeID: wire IDs may be any int, so a leader with a
+// negative ID must be kept against a farther vehicle. Gap 120−100−5 = 15 m
+// closing at 10 m/s is 1.5 s; the farther vehicle would give 8.5 s.
+func TestLeaderTTCNegativeID(t *testing.T) {
+	av := world.State{Lat: 2, Lon: 100, V: 20}
+	for _, ids := range [][2]int{{7, 3}, {-5, 3}} {
+		vehicles := []struct {
+			id int
+			st world.State
+		}{
+			{ids[0], world.State{Lat: 2, Lon: 120, V: 10}},
+			{ids[1], world.State{Lat: 2, Lon: 190, V: 10}},
+		}
+		veh := func(i int) (int, world.State) { return vehicles[i].id, vehicles[i].st }
+		ttc, ok := LeaderTTC(av, len(vehicles), veh, 5)
+		if !ok || math.Abs(ttc-1.5) > 1e-12 {
+			t.Errorf("leader ID %d: ttc = %g, %v; want 1.5, true", ids[0], ttc, ok)
+		}
+	}
+}

@@ -107,7 +107,7 @@ type Config struct {
 
 // TargetInfo describes one selected target slot at the current step.
 type TargetInfo struct {
-	ID      int         // real vehicle ID, or -1 for phantoms
+	ID      int         // real vehicle ID (any int); -1 for phantoms, which only Kind identifies
 	Kind    MissingKind // how the slot was filled
 	IsAV    bool        // always false for targets; kept for symmetry
 	Current world.State // absolute state at the latest step (real or preset)
@@ -151,14 +151,15 @@ func NewBuilder(cfg Config) *Builder { return &Builder{Cfg: cfg} }
 
 // nearestInArea finds the observed vehicle occupying a key area around
 // center: same lane offset, front/rear side, smallest longitudinal gap.
-// The vehicle with ID excludeID is skipped.
-func nearestInArea(obs map[int]world.State, center world.State, slot Slot, excludeID int) (int, world.State, bool) {
+// With exclude set, the vehicle with ID excludeID is skipped. Any int is a
+// valid vehicle ID, so no ID value can stand for "exclude nothing".
+func nearestInArea(obs map[int]world.State, center world.State, slot Slot, exclude bool, excludeID int) (int, world.State, bool) {
 	lane := center.Lat + slot.laneOffset()
-	bestID, found := -1, false
+	bestID, found := 0, false
 	var bestState world.State
 	bestGap := math.Inf(1)
 	for id, st := range obs {
-		if id == excludeID || st.Lat != lane {
+		if exclude && id == excludeID || st.Lat != lane {
 			continue
 		}
 		d := st.Lon - center.Lon
@@ -338,7 +339,7 @@ func (b *Builder) build(g *Graph, frames []sensor.Frame) *Graph {
 	// Step 1+2 for targets: select or construct each target slot.
 	var targetTrajs [NumSlots]trajectory
 	for i := Slot(0); i < NumSlots; i++ {
-		id, _, ok := nearestInArea(now.Observed, now.AV, i, -1)
+		id, _, ok := nearestInArea(now.Observed, now.AV, i, false, 0)
 		info := TargetInfo{ID: -1, Kind: NotMissing}
 		var traj trajectory
 		if ok {
@@ -373,7 +374,7 @@ func (b *Builder) build(g *Graph, frames []sensor.Frame) *Graph {
 				// Surrounders of a phantom target are zero-padded.
 				continue
 			}
-			if id, _, ok := nearestInArea(now.Observed, tgt.Current, j, tgt.ID); ok {
+			if id, _, ok := nearestInArea(now.Observed, tgt.Current, j, true, tgt.ID); ok {
 				traj := b.fillHistory(frames, id)
 				b.writeRelative(g, node, traj, avTraj, false)
 				continue
