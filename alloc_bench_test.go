@@ -2,10 +2,11 @@ package head_test
 
 // Zero-allocation guarantees of the compute core. These benches measure the
 // steady-state hot paths after the workspace arenas have warmed up: the
-// LST-GAT forward pass, one greedy BP-DQN action selection, and one full
-// environment step through the perception pipeline (sensor scan → phantom
-// construction → LST-GAT inference → physics → reward). All three must
-// report 0 allocs/op; CI enforces the ceiling via cmd/benchcheck.
+// LST-GAT forward pass and training step, one greedy BP-DQN action
+// selection, and one full environment step through the perception pipeline
+// (sensor scan → phantom construction → LST-GAT inference → physics →
+// reward). All four must report 0 allocs/op; CI enforces the ceiling via
+// cmd/benchcheck.
 
 import (
 	"math/rand"
@@ -27,6 +28,20 @@ func BenchmarkLSTGATForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model.Predict(g)
+	}
+}
+
+// BenchmarkLSTGATTrainBatch times one TrainBatch of 32 samples — forward,
+// masked MSE, backward through the read-out, LSTM and GAT, clipping and
+// one Adam step — on a warmed model.
+func BenchmarkLSTGATTrainBatch(b *testing.B) {
+	ds, model := benchPredictor(11)
+	batch := ds.Samples[:32]
+	model.TrainBatch(batch) // warm the workspaces and the Adam moments
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.TrainBatch(batch)
 	}
 }
 

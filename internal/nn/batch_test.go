@@ -108,7 +108,7 @@ func TestLSTMMultiRowGradCheck(t *testing.T) {
 	loss := func() float64 {
 		total := 0.0
 		for tt, h := range l.Forward(seq) {
-			lv, _ := MSE(h, targets[tt])
+			lv, _ := mse(h, targets[tt])
 			total += lv
 		}
 		return total
@@ -116,7 +116,7 @@ func TestLSTMMultiRowGradCheck(t *testing.T) {
 	ZeroGrads(l)
 	dH := make([]*tensor.Matrix, len(seq))
 	for tt, h := range l.Forward(seq) {
-		_, g := MSE(h, targets[tt])
+		_, g := mse(h, targets[tt])
 		dH[tt] = g
 	}
 	l.Backward(dH)

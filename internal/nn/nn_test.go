@@ -58,11 +58,11 @@ func TestLinearGradCheck(t *testing.T) {
 	target := tensor.New(4, 2)
 	target.RandUniform(rng, 1)
 	loss := func() float64 {
-		lv, _ := MSE(l.Forward(x), target)
+		lv, _ := mse(l.Forward(x), target)
 		return lv
 	}
 	ZeroGrads(l)
-	_, g := MSE(l.Forward(x), target)
+	_, g := mse(l.Forward(x), target)
 	l.Backward(g)
 	checkGrads(t, l, loss, 1e-5)
 }
@@ -124,7 +124,7 @@ func TestMLPLearnsRegression(t *testing.T) {
 	var last float64
 	for epoch := 0; epoch < 300; epoch++ {
 		pred := mlp.Forward(x)
-		loss, g := MSE(pred, y)
+		loss, g := mse(pred, y)
 		if epoch == 0 {
 			first = loss
 		}
@@ -184,12 +184,12 @@ func TestLSTMGradCheck(t *testing.T) {
 	target.RandUniform(rng, 1)
 	loss := func() float64 {
 		hs := l.Forward(seq)
-		lv, _ := MSE(hs[len(hs)-1], target)
+		lv, _ := mse(hs[len(hs)-1], target)
 		return lv
 	}
 	ZeroGrads(l)
 	hs := l.Forward(seq)
-	_, g := MSE(hs[len(hs)-1], target)
+	_, g := mse(hs[len(hs)-1], target)
 	dH := make([]*tensor.Matrix, len(hs))
 	dH[len(hs)-1] = g
 	l.Backward(dH)
@@ -208,11 +208,11 @@ func TestLSTMInputGradCheck(t *testing.T) {
 	target := tensor.New(1, 3)
 	loss := func() float64 {
 		hs := l.Forward(seq)
-		lv, _ := MSE(hs[len(hs)-1], target)
+		lv, _ := mse(hs[len(hs)-1], target)
 		return lv
 	}
 	hs := l.Forward(seq)
-	_, g := MSE(hs[len(hs)-1], target)
+	_, g := mse(hs[len(hs)-1], target)
 	dH := make([]*tensor.Matrix, len(hs))
 	dH[len(hs)-1] = g
 	dxs := l.Backward(dH)
@@ -256,7 +256,7 @@ func TestLSTMLearnsSequenceSum(t *testing.T) {
 		}
 		hs := l.Forward(seq)
 		pred := head.Forward(hs[len(hs)-1])
-		loss, g := MSE(pred, sum)
+		loss, g := mse(pred, sum)
 		if epoch == 0 {
 			first = loss
 		}
@@ -319,11 +319,11 @@ func TestGATGradCheck(t *testing.T) {
 	target := tensor.New(2, 2)
 	target.RandUniform(rng, 1)
 	loss := func() float64 {
-		lv, _ := MSE(g.Forward(nodes, targets, neighbors), target)
+		lv, _ := mse(g.Forward(nodes, targets, neighbors), target)
 		return lv
 	}
 	ZeroGrads(g)
-	_, grad := MSE(g.Forward(nodes, targets, neighbors), target)
+	_, grad := mse(g.Forward(nodes, targets, neighbors), target)
 	dNodes := g.Backward(grad)
 	checkGrads(t, g, loss, 1e-4)
 	// Also verify input gradients numerically.
@@ -414,10 +414,18 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
+// mse is MSE with a freshly allocated gradient, for tests.
+func mse(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
+	grad := tensor.New(pred.Rows, pred.Cols)
+	return MSE(pred, target, grad), grad
+}
+
 func TestMSE(t *testing.T) {
 	pred := tensor.FromSlice(1, 2, []float64{1, 3})
 	target := tensor.FromSlice(1, 2, []float64{0, 1})
-	loss, grad := MSE(pred, target)
+	grad := tensor.New(1, 2)
+	grad.Fill(math.NaN()) // MSE must overwrite every element
+	loss := MSE(pred, target, grad)
 	if want := (0.5*1 + 0.5*4) / 2; math.Abs(loss-want) > 1e-12 {
 		t.Errorf("MSE loss = %g, want %g", loss, want)
 	}

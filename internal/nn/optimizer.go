@@ -94,19 +94,21 @@ func (o *Adam) Step(mod Module) {
 	}
 }
 
-// MSE returns ½·mean squared error between pred and target along with the
-// gradient with respect to pred. The ½ factor makes dLoss/dPred simply
-// (pred − target)/n, matching the loss definitions L1 and L2 of the paper.
-func MSE(pred, target *tensor.Matrix) (loss float64, grad *tensor.Matrix) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
+// MSE returns ½·mean squared error between pred and target and writes the
+// gradient with respect to pred into the caller-owned grad, which must
+// have pred's shape and may alias neither input. The ½ factor makes
+// dLoss/dPred simply (pred − target)/n, matching the loss definitions L1
+// and L2 of the paper.
+func MSE(pred, target, grad *tensor.Matrix) float64 {
+	if pred.Rows != target.Rows || pred.Cols != target.Cols || grad.Rows != pred.Rows || grad.Cols != pred.Cols {
 		panic("nn: MSE shape mismatch")
 	}
 	n := float64(len(pred.Data))
-	grad = tensor.New(pred.Rows, pred.Cols)
+	loss := 0.0
 	for i, p := range pred.Data {
 		d := p - target.Data[i]
 		loss += 0.5 * d * d
 		grad.Data[i] = d / n
 	}
-	return loss / n, grad
+	return loss / n
 }

@@ -96,19 +96,23 @@ func ClipGradNorm(m Module, maxNorm float64) float64 {
 	return norm
 }
 
-// Gradients returns a deep copy of m's accumulated gradients, one slice
-// per parameter in Params order. Data-parallel trainers use it to ship a
-// worker replica's gradient contribution back to the coordinator.
-func Gradients(m Module) [][]float64 {
+// GradientsInto copies m's accumulated gradients into dst, one slice per
+// parameter in Params order, and returns it. dst's storage is reused once
+// it has the right shape (nil is fine), so a snapshot per step allocates
+// nothing after the first. Data-parallel trainers use it to ship a worker
+// replica's gradient contribution back to the coordinator.
+func GradientsInto(dst [][]float64, m Module) [][]float64 {
 	params := m.Params()
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.Grad.Data...)
+	if len(dst) != len(params) {
+		dst = make([][]float64, len(params))
 	}
-	return out
+	for i, p := range params {
+		dst[i] = append(dst[i][:0], p.Grad.Data...)
+	}
+	return dst
 }
 
-// AddGradients accumulates a snapshot taken by Gradients (on an
+// AddGradients accumulates a snapshot taken by GradientsInto (on an
 // identically shaped module) into m's gradients. Reducing worker snapshots
 // in a fixed order keeps the floating-point sum independent of scheduling.
 func AddGradients(m Module, grads [][]float64) {
