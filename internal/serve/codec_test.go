@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
+	"head/internal/sensor"
 	"head/internal/world"
 )
 
@@ -269,5 +272,154 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var dr DecideResponse
 		_ = DecodeResponse(data, &dr)
+	})
+}
+
+// FuzzObservationJSON decodes arbitrary bytes the way the JSON handler
+// does and validates the result at the service's history length. It
+// never panics, and every observation Validate accepts has exactly z
+// frames, at most MaxVehiclesPerFrame vehicles per frame, finite states
+// and no vehicle ID twice in a frame.
+func FuzzObservationJSON(f *testing.F) {
+	z := sensor.DefaultConfig().Z
+	for _, n := range []int{z, z - 1, z + 1} {
+		seed, err := json.Marshal(Observation{Frames: wireTestFrames(n)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"frames":[{"av":{"Lat":1,"Lon":1e400,"V":0}}]}`))
+	f.Add([]byte(`{"frames":null}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var o Observation
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&o); err != nil {
+			return
+		}
+		if err := o.Validate(z); err != nil {
+			return
+		}
+		if len(o.Frames) != z {
+			t.Fatalf("accepted %d frames, want %d", len(o.Frames), z)
+		}
+		finiteState := func(s world.State) bool {
+			return !math.IsNaN(s.Lon) && !math.IsInf(s.Lon, 0) && !math.IsNaN(s.V) && !math.IsInf(s.V, 0)
+		}
+		for i, fr := range o.Frames {
+			if len(fr.Vehicles) > MaxVehiclesPerFrame {
+				t.Fatalf("frame %d: accepted %d vehicles", i, len(fr.Vehicles))
+			}
+			if !finiteState(fr.AV) {
+				t.Fatalf("frame %d: accepted AV state %+v", i, fr.AV)
+			}
+			seen := make(map[int]bool, len(fr.Vehicles))
+			for _, v := range fr.Vehicles {
+				if !finiteState(v.State) {
+					t.Fatalf("frame %d: accepted vehicle %d state %+v", i, v.ID, v.State)
+				}
+				if seen[v.ID] {
+					t.Fatalf("frame %d: accepted vehicle %d twice", i, v.ID)
+				}
+				seen[v.ID] = true
+			}
+		}
+	})
+}
+
+// FuzzSessionAdvance reads the fuzz bytes as a sequence of Store and
+// Advance calls on four sessions in a three-entry cache, against a model
+// of the cache: each session's base frames and digest, and the LRU order.
+// Nothing panics; every failure wraps ErrResync; Advance succeeds exactly
+// when the model says the session is cached, the client's digest matches
+// and the delta holds 1..len(base) frames. A successful Advance returns
+// as many frames as the base held, ending with the delta's frames, and
+// the model's next Advance on that session presents their HashFrames.
+func FuzzSessionAdvance(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 1, 1, 1, 2, 0})
+	f.Add([]byte{0, 5, 2, 2, 4, 2, 6, 1, 3, 9, 1, 0, 3, 7, 5, 1})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const capacity = 3
+		sessions := [...]string{"a", "b", "c", "d"}
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// frames builds n frames whose contents derive from the next bytes.
+		frames := func(n int) []Frame {
+			out := make([]Frame, n)
+			for i := range out {
+				b := next()
+				out[i] = Frame{AV: world.State{Lat: int(b%6) + 1, Lon: float64(b), V: float64(b % 30)}}
+				for j := 0; j < int(b%3); j++ {
+					out[i].Vehicles = append(out[i].Vehicles, Vehicle{ID: j - 1, State: world.State{Lat: j + 1, Lon: float64(b) + 10, V: 1}})
+				}
+			}
+			return out
+		}
+		cache := NewSessionCache(capacity)
+		base := map[string][]Frame{}
+		var lru []string // model recency, most recent first
+		touch := func(s string) {
+			for i, id := range lru {
+				if id == s {
+					lru = append(lru[:i], lru[i+1:]...)
+					break
+				}
+			}
+			lru = append([]string{s}, lru...)
+		}
+		for len(data) > 0 {
+			op := next()
+			s := sessions[(op>>1)%4]
+			if op&1 == 0 {
+				fr := frames(1 + int(next()%6))
+				cache.Store(s, fr)
+				if _, ok := base[s]; !ok && len(lru) == capacity {
+					delete(base, lru[capacity-1])
+					lru = lru[:capacity-1]
+				}
+				base[s] = fr
+				touch(s)
+				continue
+			}
+			k := int(next() % 7)
+			want, cached := base[s]
+			hash := uint64(0)
+			if cached {
+				hash = HashFrames(want)
+			}
+			if corrupt := next(); corrupt%4 == 0 {
+				hash ^= uint64(corrupt) | 1
+			}
+			delta := frames(k)
+			got, err := cache.Advance(s, hash, delta)
+			ok := cached && hash == HashFrames(want) && k >= 1 && k <= len(want)
+			if err != nil {
+				if !errors.Is(err, ErrResync) {
+					t.Fatalf("Advance error %v does not wrap ErrResync", err)
+				}
+				if ok {
+					t.Fatalf("Advance(%q, k=%d) on a %d-frame base failed: %v", s, k, len(want), err)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("Advance(%q, k=%d) succeeded; the model expected a resync", s, k)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("Advance returned %d frames, base held %d", len(got), len(want))
+			}
+			if !reflect.DeepEqual(got[len(got)-k:], delta) {
+				t.Fatalf("Advance result does not end with the delta's frames")
+			}
+			base[s] = got
+			touch(s)
+		}
 	})
 }
