@@ -5,8 +5,8 @@ package head_test
 // LST-GAT forward pass and training step, one greedy BP-DQN action
 // selection, and one full environment step through the perception pipeline
 // (sensor scan → phantom construction → LST-GAT inference → physics →
-// reward). All four must report 0 allocs/op; CI enforces the ceiling via
-// cmd/benchcheck.
+// reward). All four must report 0 allocs/op; CI's bench-alloc job enforces
+// the ceiling via cmd/benchcheck.
 
 import (
 	"math/rand"

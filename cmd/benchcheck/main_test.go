@@ -1,9 +1,7 @@
 package main
 
 import (
-	"math"
-	"os"
-	"path/filepath"
+	"io"
 	"strings"
 	"testing"
 )
@@ -11,8 +9,8 @@ import (
 const sampleOutput = `goos: linux
 goarch: amd64
 BenchmarkLSTGATForward-4            	     200	    150000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkLSTGATPredictBatch-4       	     100	    800000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkBPDQNSelectActionBatch-4   	     100	     90000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLSTGATForwardBatch-4       	     100	    800000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkWireEncode-4               	     200	       106.0 ns/op	7245.28 MB/s	       0 B/op	       0 allocs/op
 PASS
 `
 
@@ -27,67 +25,44 @@ func TestParse(t *testing.T) {
 	if rows[0].Name != "LSTGATForward" || rows[0].NsPerOp != 150000 || rows[0].AllocsPerOp != 0 {
 		t.Errorf("row 0 = %+v", rows[0])
 	}
-	if rows[1].Name != "LSTGATPredictBatch" {
+	if rows[1].Name != "LSTGATForwardBatch" {
 		t.Errorf("cpu suffix not stripped: %q", rows[1].Name)
 	}
-}
-
-func TestRegression(t *testing.T) {
-	prev := map[string]AllocRow{"X": {Name: "X", NsPerOp: 100}}
-	for _, tc := range []struct {
-		ns        float64
-		regressed bool
-	}{
-		{100, false}, {110, false}, {114, false}, {116, true}, {300, true},
-	} {
-		_, regressed, known := regression(AllocRow{Name: "X", NsPerOp: tc.ns}, prev, 0.15)
-		if !known {
-			t.Fatalf("ns=%g: row unexpectedly unknown", tc.ns)
-		}
-		if regressed != tc.regressed {
-			t.Errorf("ns=%g: regressed=%v, want %v", tc.ns, regressed, tc.regressed)
-		}
-	}
-	if _, _, known := regression(AllocRow{Name: "new"}, prev, 0.15); known {
-		t.Error("unknown row reported as known")
+	// The MB/s column SetBytes adds shifts B/op and allocs/op right.
+	if r := rows[2]; r.Name != "WireEncode" || r.NsPerOp != 106 || r.BytesPerOp != 0 || r.AllocsPerOp != 0 {
+		t.Errorf("row 2 = %+v", r)
 	}
 }
 
-func TestSpeedup(t *testing.T) {
+func TestCheckPassesZeroAllocInput(t *testing.T) {
 	rows, err := parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := speedup(rows, "LSTGATForward", "LSTGATPredictBatch", 8, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 800000/8 = 100000 ns/env vs 150000 ns/op serial → 1.5x.
-	if math.Abs(sp.PerEnvNs-100000) > 1e-9 || math.Abs(sp.Ratio-1.5) > 1e-9 {
-		t.Errorf("speedup = %+v", sp)
-	}
-	if _, err := speedup(rows, "Nope", "LSTGATPredictBatch", 8, 1.2); err == nil {
-		t.Error("missing serial benchmark not rejected")
-	}
-	if _, err := speedup(rows, "LSTGATForward", "Nope", 8, 1.2); err == nil {
-		t.Error("missing batch benchmark not rejected")
+	if fails := check(io.Discard, rows, []string{"LSTGATForward", "LSTGATForwardBatch", "WireEncode"}); len(fails) != 0 {
+		t.Errorf("complete zero-alloc input failed: %v", fails)
 	}
 }
 
-func TestReadPrev(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "prev.json")
-	if err := os.WriteFile(path, []byte(`{"tool":"benchcheck","rows":[{"name":"X","ns_per_op":123}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	prev, err := readPrev(path)
+func TestCheckFailsMissingName(t *testing.T) {
+	rows, err := parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prev["X"].NsPerOp != 123 {
-		t.Errorf("prev = %+v", prev)
+	fails := check(io.Discard, rows, []string{"LSTGATForward", "WireHash"})
+	if len(fails) != 1 || !strings.HasPrefix(fails[0], "WireHash:") {
+		t.Errorf("missing WireHash: failures %v", fails)
 	}
-	if _, err := readPrev(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file not rejected")
+}
+
+func TestCheckFailsAllocatingRow(t *testing.T) {
+	in := strings.Replace(sampleOutput, "0 B/op\t       0 allocs/op", "48 B/op\t       2 allocs/op", 1)
+	rows, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := check(io.Discard, rows, []string{"LSTGATForward", "LSTGATForwardBatch"})
+	if len(fails) != 1 || !strings.HasPrefix(fails[0], "LSTGATForward:") {
+		t.Errorf("allocating LSTGATForward: failures %v", fails)
 	}
 }

@@ -4,12 +4,11 @@
 // served maneuver — the full closed loop a real vehicle client would run,
 // at whatever concurrency the flag asks for.
 //
-// After a warm-up phase it measures a fixed window and appends one row —
-// throughput, error count, exact latency percentiles, mean micro-batch
-// occupancy, bytes-per-request percentiles, delta resync counts — to a
-// BENCH_serve.json snapshot, which cmd/benchcheck gates in CI (p99
-// ceiling, RPS floor, micro-batch speedup, telemetry overhead, wire-pair
-// gain).
+// After a warm-up phase it measures a fixed window and prints three lines:
+// throughput, error count, exact latency percentiles and mean micro-batch
+// occupancy; the queue/infer/net latency breakdown; and bytes-per-request
+// percentiles with delta resync counts. It exits non-zero when any
+// measured request failed.
 //
 // -wire selects the request encoding: json (the default), binary (the
 // application/x-head-obs full-snapshot form with binary responses), or
@@ -22,7 +21,7 @@
 // its phase timestamps in the response envelope, so the client can separate
 // what it observed (end-to-end latency) from what the server accounted for
 // (batch wait, seal, inference, reply) — the remainder is network plus
-// client overhead. The row records per-component percentiles, and
+// client overhead. The breakdown line prints per-component percentiles, and
 // -trace-out writes a joined Chrome trace (one lane per session, each
 // measured request a span tree: queue / batch_seal / replica_infer / reply
 // from the server envelope plus the network remainder) that headtrace
@@ -34,7 +33,7 @@
 // think-time of a real fleet. -mode replay pre-captures a chain of
 // consecutive servable observations and fires them back-to-back with no
 // simulation in between, which saturates the service and isolates ITS
-// capacity — the mode the micro-batching throughput gate uses, since in
+// capacity — the mode for comparing server configurations, since in
 // closed-loop mode the client-side simulator (sharing the machine) is the
 // bottleneck, not the server.
 //
@@ -42,7 +41,6 @@
 //
 //	headload -url http://localhost:8100 [-sessions 64] [-duration 5s] [-warmup 1s]
 //	headload ... [-mode closed|replay] [-wire json|binary|delta] [-scale quick|record|paper] [-seed N]
-//	headload ... -bench-out BENCH_serve.json -run-name b8       # append a gated row
 //	headload ... -trace-out trace.json                          # joined client+server trace
 package main
 
@@ -55,7 +53,6 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"os"
 	"reflect"
 	"sort"
 	"sync"
@@ -85,8 +82,6 @@ func main() {
 		scaleName = flag.String("scale", "quick", "fleet environment scale: quick, record or paper")
 		seed      = flag.Int64("seed", 1, "base seed for the session environments")
 		density   = flag.Float64("density", 0, "override the fleet environments' traffic density (0 keeps the scale's value) — shifts the observation distribution, e.g. to exercise the server's drift detection")
-		benchOut  = flag.String("bench-out", "", "append a row to this BENCH_serve.json snapshot (empty disables)")
-		runName   = flag.String("run-name", "default", "row name inside the bench snapshot")
 		traceOut  = flag.String("trace-out", "", "write a joined client+server Chrome trace of the measured requests here (empty disables)")
 	)
 	flag.Parse()
@@ -191,49 +186,22 @@ func main() {
 	sort.Float64s(infers)
 	sort.Float64s(nets)
 	sort.Float64s(sizes)
-	row := serve.Row{
-		Name:       *runName,
-		Sessions:   *sessions,
-		Requests:   requests,
-		Errors:     errs,
-		DurationS:  window.Seconds(),
-		RPS:        float64(requests) / window.Seconds(),
-		P50Ms:      pct(lats, 0.50),
-		P90Ms:      pct(lats, 0.90),
-		P99Ms:      pct(lats, 0.99),
-		MaxMs:      lats[len(lats)-1],
-		QueueP50Ms: pct(queues, 0.50),
-		QueueP99Ms: pct(queues, 0.99),
-		InferP50Ms: pct(infers, 0.50),
-		InferP99Ms: pct(infers, 0.99),
-		NetP50Ms:   pct(nets, 0.50),
-		NetP99Ms:   pct(nets, 0.99),
-		AvgBatch:   batchSum / float64(requests),
-		Wire:       *wire,
-		BytesP50:   pct(sizes, 0.50),
-		BytesP99:   pct(sizes, 0.99),
-		Resyncs:    resyncs,
-		ResyncRate: float64(resyncs) / float64(requests),
-	}
 	fmt.Printf("%s: %d sessions, %d requests in %.2fs = %.0f rps, p50 %.2fms p90 %.2fms p99 %.2fms max %.2fms, avg batch %.2f, %d errors (hist p99 %.2fms)\n",
-		row.Name, row.Sessions, row.Requests, row.DurationS, row.RPS,
-		row.P50Ms, row.P90Ms, row.P99Ms, row.MaxMs, row.AvgBatch, row.Errors,
-		latHist.Quantile(0.99)*1e3)
+		*mode, *sessions, requests, window.Seconds(), float64(requests)/window.Seconds(),
+		pct(lats, 0.50), pct(lats, 0.90), pct(lats, 0.99), lats[len(lats)-1],
+		batchSum/float64(requests), errs, latHist.Quantile(0.99)*1e3)
 	fmt.Printf("  breakdown: queue p50 %.2fms p99 %.2fms | infer p50 %.2fms p99 %.2fms | net p50 %.2fms p99 %.2fms\n",
-		row.QueueP50Ms, row.QueueP99Ms, row.InferP50Ms, row.InferP99Ms, row.NetP50Ms, row.NetP99Ms)
+		pct(queues, 0.50), pct(queues, 0.99), pct(infers, 0.50), pct(infers, 0.99), pct(nets, 0.50), pct(nets, 0.99))
 	fmt.Printf("  wire %s: bytes/req p50 %.0f p99 %.0f, %d resyncs (%.4f/req)\n",
-		row.Wire, row.BytesP50, row.BytesP99, row.Resyncs, row.ResyncRate)
-	if *benchOut != "" {
-		if err := serve.AppendRow(*benchOut, row); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("row %q appended to %s", *runName, *benchOut)
-	}
+		*wire, pct(sizes, 0.50), pct(sizes, 0.99), resyncs, float64(resyncs)/float64(requests))
 	if *traceOut != "" {
 		if err := writeJoinedTrace(*traceOut, results); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("joined trace written to %s", *traceOut)
+	}
+	if errs > 0 {
+		log.Fatalf("%d of %d measured requests failed", errs, requests+errs)
 	}
 }
 
@@ -557,15 +525,7 @@ func writeJoinedTrace(path string, results []sessionResult) error {
 			})
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteFileAtomic(path, tr.WriteChrome)
 }
 
 // pct is the exact (nearest-rank, linear-interpolated) percentile of a

@@ -236,14 +236,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if tracer != nil {
-			f, err := os.Create(filepath.Join(*out, "trace.json"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := tracer.WriteChrome(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := obs.WriteFileAtomic(filepath.Join(*out, "trace.json"), tracer.WriteChrome); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -20,6 +19,7 @@ import (
 
 	"head/internal/experiments"
 	"head/internal/head"
+	"head/internal/obs"
 	"head/internal/policy"
 	"head/internal/rl"
 	"head/internal/trace"
@@ -76,13 +76,13 @@ func main() {
 	printSummary(tr)
 
 	if *csvPath != "" {
-		if err := writeFile(*csvPath, tr.WriteCSV); err != nil {
+		if err := obs.WriteFileAtomic(*csvPath, tr.WriteCSV); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("trace written to", *csvPath)
 	}
 	if *jsonlPath != "" {
-		if err := writeFile(*jsonlPath, tr.WriteJSONL); err != nil {
+		if err := obs.WriteFileAtomic(*jsonlPath, tr.WriteJSONL); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("trace written to", *jsonlPath)
@@ -175,16 +175,4 @@ func renderFrame(env *head.Env, m world.Maneuver, out head.StepOutcome) {
 		fmt.Printf("  lane %d |%s|\n", l+1, row)
 	}
 	fmt.Println()
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

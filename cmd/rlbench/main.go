@@ -7,14 +7,12 @@
 //
 //	rlbench [-batch-envs N] [-scale quick|record|paper] [-train N] [-episodes N] [-seed N] [-workers N] [-debug-addr :8080] [-progress]
 //	rlbench ... [-trace-out dir] [-trace-sample 0.1]  # flight-record the run
-//	rlbench ... [-bench-json]                         # also write BENCH_rl.json
 package main
 
 import (
 	"flag"
 	"log"
 	"os"
-	"time"
 
 	"head/internal/experiments"
 )
@@ -33,7 +31,6 @@ func main() {
 		progress  = flag.Bool("progress", false, "print a live heartbeat line per episode/epoch to stderr")
 		traceOut  = flag.String("trace-out", "", "directory to write trace.json (Chrome trace-event JSON) and decisions.jsonl into (empty disables tracing)")
 		traceSmpl = flag.Float64("trace-sample", 1, "fraction of steps traced, deterministic per (lane, episode, step); 0 or 1 traces every step")
-		benchJSON = flag.Bool("bench-json", false, "write a machine-readable BENCH_rl.json snapshot of the table rows")
 	)
 	flag.Parse()
 
@@ -68,19 +65,12 @@ func main() {
 		log.Printf("debug server on http://%s (/metrics, /debug/pprof/, /debug/vars, /debug/trace)", srv.Addr())
 	}
 
-	start := time.Now()
 	rows, err := experiments.TableVVI(s)
 	if err != nil {
 		log.Fatal(err)
 	}
 	os.Stdout.WriteString("Tables V & VI — Effectiveness and Efficiency of PAMDP Solvers in the Simulated Environment\n")
 	experiments.PrintRLRows(os.Stdout, rows)
-	if *benchJSON {
-		if err := experiments.WriteBenchJSON("BENCH_rl.json", "rlbench", *scaleName, s, start, rows); err != nil {
-			log.Fatal(err)
-		}
-		log.Print("wrote BENCH_rl.json")
-	}
 	if err := finishTrace(); err != nil {
 		log.Fatal("trace: ", err)
 	}

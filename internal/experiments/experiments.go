@@ -101,6 +101,18 @@ type Scale struct {
 	Quality *quality.Recorder
 }
 
+// ConfigHash hashes the scale's results-relevant configuration: it
+// excludes the attached observability sinks and the Workers/BatchEnvs
+// throughput knobs, so two runs with the same results-relevant knobs hash
+// equal whether or not they were observed, traced, or quality-profiled,
+// and at any parallel or batched width.
+func (s Scale) ConfigHash() string {
+	hs := s
+	hs.Metrics, hs.Progress, hs.Trace, hs.Quality = nil, nil, nil, nil
+	hs.Workers, hs.BatchEnvs = 0, 0
+	return obs.Hash(hs)
+}
+
 // instrUnit bundles the scale's observability sinks for one rl training
 // loop. Each call opens a fresh trace lane (nil tracer → nil lane), so
 // concurrent units never share lane state.
@@ -150,15 +162,7 @@ func (s *Scale) ObserveDefault(progress bool, addr, traceOut string, traceSample
 			if err := df.Close(); err != nil {
 				return err
 			}
-			tf, err := os.Create(filepath.Join(traceOut, "trace.json"))
-			if err != nil {
-				return err
-			}
-			if err := tr.WriteChrome(tf); err != nil {
-				tf.Close()
-				return err
-			}
-			return tf.Close()
+			return obs.WriteFileAtomic(filepath.Join(traceOut, "trace.json"), tr.WriteChrome)
 		}
 	}
 	if addr == "" {

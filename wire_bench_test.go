@@ -3,10 +3,11 @@ package head_test
 // Zero-allocation guarantees of the binary wire codec. The serve hot path
 // encodes and decodes /v1/decide payloads per request; with reused buffers
 // (sync.Pool'd in the mux, donated storage in the decoder) the kernels
-// must report 0 allocs/op — CI enforces the ceiling via cmd/benchcheck
-// alongside the compute-core benches. JSON siblings measure the same
-// snapshot through encoding/json for the wire-format comparison the
-// serving docs quote.
+// must report 0 allocs/op — CI's bench-alloc job enforces the ceiling via
+// cmd/benchcheck alongside the compute-core benches. JSON siblings measure
+// the same snapshot through encoding/json for a hand-run format
+// comparison; the serving docs quote the repository benchmark's
+// serve.json_decode_us and serve.wire_decode_us instead.
 
 import (
 	"encoding/json"
@@ -83,7 +84,7 @@ func BenchmarkWireHash(b *testing.B) {
 
 // BenchmarkJSONEncodeObservation / BenchmarkJSONDecodeObservation are the
 // JSON siblings of the wire kernels — same snapshot through encoding/json,
-// for the format-comparison numbers (not alloc-gated; reflection allocates
+// for a hand-run format comparison (not alloc-gated; reflection allocates
 // by design).
 func BenchmarkJSONEncodeObservation(b *testing.B) {
 	o := serve.Observation{Frames: benchWireFrames()}
