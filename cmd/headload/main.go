@@ -20,12 +20,12 @@
 // Every request carries an X-Request-ID; the server echoes it and reports
 // its phase timestamps in the response envelope, so the client can separate
 // what it observed (end-to-end latency) from what the server accounted for
-// (batch wait, seal, inference, reply) — the remainder is network plus
-// client overhead. The breakdown line prints per-component percentiles, and
-// -trace-out writes a joined Chrome trace (one lane per session, each
-// measured request a span tree: queue / batch_seal / replica_infer / reply
-// from the server envelope plus the network remainder) that headtrace
-// analyzes and -check verifies.
+// (wait for a free replica, seal, inference, reply) — the remainder is
+// network plus client overhead. The breakdown line prints per-component
+// percentiles, and -trace-out writes a joined Chrome trace (one lane per
+// session, each measured request a span tree: queue / batch_seal /
+// replica_infer / reply from the server envelope plus the network
+// remainder) that headtrace analyzes and -check verifies.
 //
 // Two modes: -mode closed (default) runs the full closed loop — each
 // session steps its own simulator between requests, so the measured rate
@@ -36,6 +36,11 @@
 // capacity — the mode for comparing server configurations, since in
 // closed-loop mode the client-side simulator (sharing the machine) is the
 // bottleneck, not the server.
+//
+// A session that gets no decision waits before its next request: 1 ms
+// after the first failure in a row, doubling with each further one up to
+// 100 ms, so a fleet facing a server that is down or shedding load does
+// not spin in a retry loop. A success resets the wait.
 //
 // Usage:
 //
@@ -273,6 +278,22 @@ type loadClient struct {
 	scratch []byte
 }
 
+// The wait after a session's first failed request in a row, and its cap.
+const (
+	minBackoff = time.Millisecond
+	maxBackoff = 100 * time.Millisecond
+)
+
+// backoff is one session's wait between consecutive failed requests.
+type backoff struct{ next time.Duration }
+
+func (b *backoff) failed() {
+	b.next = min(max(2*b.next, minBackoff), maxBackoff)
+	time.Sleep(b.next)
+}
+
+func (b *backoff) succeeded() { b.next = 0 }
+
 // errResync marks a 409 "resend full" response internally.
 var errResync = fmt.Errorf("resend full")
 
@@ -367,6 +388,7 @@ func (c *loadClient) post(id, contentType string, body []byte) (serve.DecideResp
 func runSession(lc *loadClient, cfg head.EnvConfig, si int, keepRecords bool,
 	rng *rand.Rand, recording, stop *atomic.Bool, latHist *obs.Histogram) sessionResult {
 	var res sessionResult
+	var wait backoff
 	env := head.NewEnv(cfg, nil, rng)
 	env.Reset()
 	coast := world.Maneuver{B: world.LaneKeep, A: 0}
@@ -389,12 +411,14 @@ func runSession(lc *loadClient, cfg head.EnvConfig, si int, keepRecords bool,
 			if rec {
 				res.errors++
 			}
+			wait.failed()
 			env.StepManeuver(coast)
 			continue
 		} else if rec {
 			res.resyncs += resyncs
 			res.account(dr, id, t0, lat, sent, keepRecords, latHist)
 		}
+		wait.succeeded()
 		env.StepManeuver(dr.Maneuver())
 	}
 	return res
@@ -438,6 +462,7 @@ func captureObservations(cfg head.EnvConfig, seed int64, n int) ([]serve.Observa
 func runReplaySession(lc *loadClient, pool []serve.Observation, offset int, keepRecords bool,
 	recording, stop *atomic.Bool, latHist *obs.Histogram) sessionResult {
 	var res sessionResult
+	var wait backoff
 	// Delta sessions must walk the chain from its head; stateless wire
 	// forms stagger their start across the pool instead.
 	start := offset
@@ -459,10 +484,13 @@ func runReplaySession(lc *loadClient, pool []serve.Observation, offset int, keep
 			if rec {
 				res.errors++
 			}
+			wait.failed()
+			continue
 		} else if rec {
 			res.resyncs += resyncs
 			res.account(dr, id, t0, lat, sent, keepRecords, latHist)
 		}
+		wait.succeeded()
 	}
 	return res
 }

@@ -1,8 +1,9 @@
 // Command headserve is the online decision service: it loads a headtrain
 // checkpoint (the trained LST-GAT perception model and BP-DQN decision
 // agent) and serves "observe → predict → act" requests over HTTP through a
-// size-or-deadline micro-batcher, so many concurrent vehicle sessions share
-// batched network forwards while every served decision stays bit-identical
+// work-conserving micro-batcher: a free replica takes whatever requests are
+// queued at once, so requests that pile up behind a busy replica share one
+// batched network forward, while every served decision stays bit-identical
 // to the in-process serial path.
 //
 // Endpoints (one listener): POST /v1/decide (observation snapshot in,
@@ -21,7 +22,7 @@
 // Usage:
 //
 //	headserve -load dir [-scale quick|record|paper] [-seed N]       # must match training
-//	headserve ... [-addr :8100] [-batch 8] [-max-wait 2ms] [-replicas N] [-queue N]
+//	headserve ... [-addr :8100] [-batch 8] [-replicas N] [-queue N]
 //	headserve ... [-session-cache 4096]                             # binary-wire delta sessions retained (LRU)
 //	headserve ... [-out dir]                                        # manifest.json + trace.json on shutdown
 //	headserve ... [-telemetry=false] [-trace-sample 0.1]            # request tracing off / sampled
@@ -62,8 +63,7 @@ func main() {
 		load      = flag.String("load", "", "checkpoint directory written by headtrain -out (required)")
 		scaleName = flag.String("scale", "quick", "experiment scale the checkpoint was trained at: quick, record or paper")
 		seed      = flag.Int64("seed", 0, "override the random seed (must match training)")
-		batch     = flag.Int("batch", 8, "micro-batch size B: flush as soon as this many requests are pending")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "flush deadline: maximum time a request waits for batch mates")
+		batch     = flag.Int("batch", 8, "micro-batch size B: the most queued requests one replica forward takes")
 		replicas  = flag.Int("replicas", 1, "model replicas answering batches concurrently")
 		queue     = flag.Int("queue", 0, "submit queue bound (0 = 4x batch)")
 		sessCap   = flag.Int("session-cache", serve.DefaultSessionCap, "binary-wire delta sessions retained (LRU; evicted sessions force a full resend)")
@@ -111,7 +111,6 @@ func main() {
 	start := time.Now()
 	b := serve.NewBatcher(serve.BatcherConfig{
 		MaxBatch: *batch,
-		MaxWait:  *maxWait,
 		Queue:    *queue,
 		Replicas: *replicas,
 		Metrics:  reg,
@@ -183,8 +182,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving decisions on http://%s (batch %d, max-wait %v, %d replicas, z=%d frames)",
-		ln.Addr(), *batch, *maxWait, *replicas, cfg.Sensor.Z)
+	log.Printf("serving decisions on http://%s (batch %d, %d replicas, z=%d frames)",
+		ln.Addr(), *batch, *replicas, cfg.Sensor.Z)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

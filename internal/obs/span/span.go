@@ -131,9 +131,9 @@ func (t *Tracer) Since(at time.Time) int64 {
 
 // Record appends one externally-timed completed span to the ring. It is
 // the entry point for lifecycles that cannot ride a Lane's stack — a
-// served request crosses the HTTP handler, the batcher's flush loop, and
-// a replica worker, so its phases are timed with plain timestamps and
-// recorded post-hoc by whichever goroutine saw the reply. Safe for
+// served request crosses the HTTP handler and a batcher replica worker,
+// so its phases are timed with plain timestamps and recorded post-hoc by
+// whichever goroutine saw the reply. Safe for
 // concurrent use; a nil tracer discards.
 func (t *Tracer) Record(s Span) {
 	if t == nil {

@@ -16,20 +16,19 @@ var ErrClosed = errors.New("serve: batcher closed")
 
 // BatcherConfig sizes the micro-batcher.
 type BatcherConfig struct {
-	// MaxBatch is B: a flush fires as soon as this many requests are
-	// pending (default 8).
+	// MaxBatch is B: the most queued requests a replica worker takes into
+	// one batched forward (default 8).
 	MaxBatch int
-	// MaxWait is the deadline arm of size-or-deadline: a flush fires this
-	// long after its first request even if the batch is short (default
-	// 2ms). Zero keeps the default; latency-sensitive callers trade it
-	// against batch occupancy.
+	// Deprecated: MaxWait is ignored. A free replica worker takes whatever
+	// is queued at once, so no request waits for batch mates; the field
+	// remains only so that callers which still set it compile.
 	MaxWait time.Duration
 	// Queue bounds the submit channel; once full, Submit blocks (applying
-	// backpressure to clients) until the flush loop drains it or the
+	// backpressure to clients) until a replica worker takes a batch or the
 	// caller's context expires. Default 4×MaxBatch.
 	Queue int
 	// Replicas is how many worker goroutines (each owning one Decider)
-	// consume flushed batches concurrently (default 1).
+	// take batches from the queue concurrently (default 1).
 	Replicas int
 	// Metrics receives the service counters and histograms (nil disables):
 	// serve.requests / serve.errors counters, serve.queue_wait_s and
@@ -42,9 +41,6 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.Queue <= 0 {
 		c.Queue = 4 * c.MaxBatch
 	}
@@ -55,9 +51,9 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 }
 
 // Result is one served decision plus the timestamps that attribute its
-// latency: Enqueued (Submit accepted it), Flushed (the size-or-deadline
-// loop sealed its batch), InferStart (a replica worker picked the sealed
-// batch up), InferDone (the batched forward returned), Replied (the
+// latency: Enqueued (Submit accepted it), Flushed (a replica worker took
+// its batch off the queue), InferStart (the worker began the batched
+// forward), InferDone (the batched forward returned), Replied (the
 // response was handed to the waiter), and the size of the batch it rode
 // in. Consecutive differences are the request's queue / batch_seal /
 // replica_infer phases; request telemetry records them as spans.
@@ -75,29 +71,27 @@ type Result struct {
 // pending is one in-flight request: the observation, its enqueue
 // timestamp, and the buffered response channel its waiter blocks on.
 type pending struct {
-	obs   *Observation
-	enq   time.Time
-	flush time.Time
-	ch    chan Result
+	obs *Observation
+	enq time.Time
+	ch  chan Result
 }
 
-// Batcher is the size-or-deadline micro-batcher: Submit places requests on
-// a bounded channel, a flush loop seals batches of up to MaxBatch requests
-// or MaxWait after the first, and replica workers answer each batch
-// through one batched forward pass. Shutdown is ordered: Close stops new
-// admissions, waits for every in-flight request to receive its response,
-// then joins the flush loop and workers — no request is ever dropped
-// without a reply.
+// Batcher is the work-conserving micro-batcher: Submit places requests on
+// a bounded channel, and each replica worker blocks for the oldest queued
+// request, takes whatever else is already queued (up to MaxBatch) without
+// waiting, and answers the batch through one batched forward pass. No
+// replica sits idle while a request waits; batches form only when
+// requests pile up behind busy replicas. Shutdown is ordered: Close stops
+// new admissions, waits for every in-flight request to receive its
+// response, then joins the workers — no request is ever dropped without a
+// reply.
 type Batcher struct {
-	cfg     BatcherConfig
-	submit  chan *pending
-	batches chan []*pending
-	bufs    chan []*pending
+	cfg    BatcherConfig
+	submit chan *pending
 
 	mu       sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup
-	flusher  sync.WaitGroup
 	workers  sync.WaitGroup
 
 	mRequests  *obs.Counter
@@ -107,16 +101,14 @@ type Batcher struct {
 	mBatchSize *obs.Histogram
 }
 
-// NewBatcher starts the flush loop and cfg.Replicas workers, each owning
-// one Decider from newReplica (called once per worker, so each worker gets
-// private model state).
+// NewBatcher starts cfg.Replicas workers, each owning one Decider from
+// newReplica (called once per worker, so each worker gets private model
+// state).
 func NewBatcher(cfg BatcherConfig, newReplica func() Decider) *Batcher {
 	cfg = cfg.withDefaults()
 	b := &Batcher{
-		cfg:     cfg,
-		submit:  make(chan *pending, cfg.Queue),
-		batches: make(chan []*pending, cfg.Replicas),
-		bufs:    make(chan []*pending, cfg.Replicas+2),
+		cfg:    cfg,
+		submit: make(chan *pending, cfg.Queue),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		b.mRequests = reg.Counter("serve.requests")
@@ -125,8 +117,6 @@ func NewBatcher(cfg BatcherConfig, newReplica func() Decider) *Batcher {
 		b.mDecide = reg.Histogram("serve.decide_s")
 		b.mBatchSize = reg.Histogram("serve.batch_size", 1, 2, 4, 8, 16, 32, 64)
 	}
-	b.flusher.Add(1)
-	go b.flushLoop()
 	for i := 0; i < cfg.Replicas; i++ {
 		b.workers.Add(1)
 		go b.worker(newReplica())
@@ -139,7 +129,7 @@ func (b *Batcher) Config() BatcherConfig { return b.cfg }
 
 // Submit enqueues one observation and blocks until its decision arrives,
 // the context expires, or the batcher is closed. The observation must stay
-// untouched until Submit returns (replicas read it during the flush). The
+// untouched until Submit returns (a replica reads it during the decide). The
 // returned error equals Result.Err for replica failures, so callers can
 // branch on the Result alone.
 func (b *Batcher) Submit(ctx context.Context, o *Observation) (Result, error) {
@@ -185,7 +175,7 @@ func (b *Batcher) observe(r Result) {
 
 // Close drains and stops the batcher in order: new Submits are refused,
 // every already-admitted request runs to completion and receives its
-// response, then the flush loop and replica workers exit. Idempotent.
+// response, then the replica workers exit. Idempotent.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -195,110 +185,56 @@ func (b *Batcher) Close() {
 	b.closed = true
 	b.mu.Unlock()
 	// Every admitted Submit holds an inflight token until it has its
-	// response; the flush loop and workers are still running, so waiting
-	// here is the drain.
+	// response; the workers are still running, so waiting here is the
+	// drain.
 	b.inflight.Wait()
 	close(b.submit)
-	b.flusher.Wait()
 	b.workers.Wait()
 }
 
-// takeBuf pops a recycled batch buffer or makes a fresh one.
-func (b *Batcher) takeBuf() []*pending {
-	select {
-	case buf := <-b.bufs:
-		return buf[:0]
-	default:
-		return make([]*pending, 0, b.cfg.MaxBatch)
-	}
-}
-
-// flushLoop seals batches: it blocks for a first request, then fills until
-// MaxBatch requests are aboard or MaxWait has passed since the first,
-// whichever comes first, and hands the sealed batch to the workers. When
-// the submit channel closes (Close after the drain) it seals any partial
-// batch and closes the batch channel behind itself.
-func (b *Batcher) flushLoop() {
-	defer b.flusher.Done()
-	defer close(b.batches)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		p, ok := <-b.submit
-		if !ok {
-			return
-		}
-		batch := append(b.takeBuf(), p)
-		timer.Reset(b.cfg.MaxWait)
-		fired := false
-		open := true
-	fill:
+// worker answers batches with one Decider: block for the oldest queued
+// request, take whatever else is queued up to MaxBatch without waiting,
+// one batched decide, reply to every waiter (the whole batch shares an
+// error when the decide fails or panics). It exits once Close has closed
+// the queue and the queue is empty.
+func (b *Batcher) worker(d Decider) {
+	defer b.workers.Done()
+	batch := make([]*pending, 0, b.cfg.MaxBatch)
+	obsBuf := make([]*Observation, 0, b.cfg.MaxBatch)
+	out := make([]Decision, b.cfg.MaxBatch)
+	for p := range b.submit {
+		batch = append(batch[:0], p)
+	take:
 		for len(batch) < b.cfg.MaxBatch {
 			select {
 			case q, ok := <-b.submit:
 				if !ok {
-					open = false
-					break fill
+					break take
 				}
 				batch = append(batch, q)
-			case <-timer.C:
-				fired = true
-				break fill
+			default:
+				break take
 			}
 		}
-		if !fired && !timer.Stop() {
-			<-timer.C
-		}
-		now := time.Now()
+		flushed := time.Now()
+		obsBuf = obsBuf[:0]
 		for _, q := range batch {
-			q.flush = now
+			obsBuf = append(obsBuf, q.obs)
 		}
-		b.batches <- batch
-		if !open {
-			return
-		}
-	}
-}
-
-// worker answers sealed batches with one Decider: gather the observations,
-// one batched decide, reply to every waiter (the whole batch shares an
-// error when the decide fails or panics), recycle the buffer.
-func (b *Batcher) worker(d Decider) {
-	defer b.workers.Done()
-	var obsBuf []*Observation
-	var out []Decision
-	for batch := range b.batches {
 		n := len(batch)
-		if cap(obsBuf) < n {
-			obsBuf = make([]*Observation, n)
-		}
-		if cap(out) < n {
-			out = make([]Decision, n)
-		}
-		obsBuf = obsBuf[:n]
-		out = out[:n]
-		for i, p := range batch {
-			obsBuf[i] = p.obs
-		}
 		inferStart := time.Now()
-		err := safeDecide(d, obsBuf, out)
+		err := safeDecide(d, obsBuf, out[:n])
 		inferDone := time.Now()
-		for i, p := range batch {
+		for i, q := range batch {
 			r := Result{
-				Err: err, Enqueued: p.enq, Flushed: p.flush,
+				Err: err, Enqueued: q.enq, Flushed: flushed,
 				InferStart: inferStart, InferDone: inferDone,
 				Replied: time.Now(), BatchSize: n,
 			}
 			if err == nil {
 				r.Decision = out[i]
 			}
-			p.ch <- r
-		}
-		select {
-		case b.bufs <- batch:
-		default:
+			q.ch <- r
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,15 +62,14 @@ func mark(id int) *Observation {
 }
 
 // TestBatcherHammer is the -race stress test: many concurrent submitters
-// racing size flushes, deadline flushes, injected replica errors, and
-// injected panics across several workers. Every submit must receive
+// racing several workers that each take whatever is queued, injected
+// replica errors, and injected panics. Every submit must receive
 // exactly one response, every successful response must carry its own
 // watermark back, and no batch may exceed MaxBatch.
 func TestBatcherHammer(t *testing.T) {
 	d := &echoDecider{delay: 50 * time.Microsecond, errEvery: 7, panicEvery: 13}
 	b := NewBatcher(BatcherConfig{
 		MaxBatch: 4,
-		MaxWait:  200 * time.Microsecond,
 		Queue:    8,
 		Replicas: 3,
 		Metrics:  obs.NewRegistry(),
@@ -119,61 +120,132 @@ func TestBatcherHammer(t *testing.T) {
 	}
 }
 
-// TestDeadlineFlush: with a huge MaxBatch, a lone request must be flushed
-// by the MaxWait deadline, not wait for company that never comes.
-func TestDeadlineFlush(t *testing.T) {
+// gate holds replica calls until it opens, reporting each call's batch
+// size on entered as the call begins. It lets a test queue requests
+// behind replicas it knows are busy.
+type gate struct {
+	opened  chan struct{}
+	once    sync.Once
+	entered chan int
+}
+
+// newGate returns a gate that holds calls until open, with room to
+// report the batch sizes of n calls.
+func newGate(n int) *gate {
+	return &gate{opened: make(chan struct{}), entered: make(chan int, n)}
+}
+
+// open lets every held and later call through. Idempotent, so a test can
+// also defer it to free its replicas before Close when it fails early.
+func (g *gate) open() { g.once.Do(func() { close(g.opened) }) }
+
+// gatedDecider answers through the wrapped Decider once its gate opens.
+type gatedDecider struct {
+	Decider
+	g *gate
+}
+
+func (d gatedDecider) DecideBatch(obs []*Observation, out []Decision) error {
+	d.g.entered <- len(obs)
+	<-d.g.opened
+	return d.Decider.DecideBatch(obs, out)
+}
+
+// waitEntered receives the next batch size a gatedDecider reports.
+func waitEntered(t *testing.T, entered <-chan int) int {
+	t.Helper()
+	select {
+	case n := <-entered:
+		return n
+	case <-time.After(5 * time.Second):
+		t.Fatal("no replica call began within 5s")
+		return 0
+	}
+}
+
+// waitQueued polls until n requests sit in the submit queue.
+func waitQueued(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(b.submit) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued after 5s", len(b.submit), n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestIdleReplicaDecidesAtOnce: with a huge MaxBatch, a lone request must
+// ride a batch of one at once instead of waiting for company that never
+// comes. MaxWait is set to prove the deprecated field is ignored.
+func TestIdleReplicaDecidesAtOnce(t *testing.T) {
 	d := &echoDecider{}
-	b := NewBatcher(BatcherConfig{MaxBatch: 64, MaxWait: 5 * time.Millisecond}, func() Decider { return d })
+	b := NewBatcher(BatcherConfig{MaxBatch: 64, MaxWait: 10 * time.Second}, func() Decider { return d })
 	defer b.Close()
 
-	start := time.Now()
-	res, err := b.Submit(context.Background(), mark(1))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	res, err := b.Submit(ctx, mark(1))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("lone request not answered within 1s: %v", err)
 	}
 	if res.BatchSize != 1 {
 		t.Errorf("lone request rode batch of %d", res.BatchSize)
 	}
-	if wait := res.Flushed.Sub(res.Enqueued); wait < 4*time.Millisecond {
-		t.Errorf("flushed after %v, before the 5ms deadline", wait)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("deadline flush took %v", elapsed)
+	if res.Decision.Accel != 1 {
+		t.Errorf("wrong watermark %v", res.Decision.Accel)
 	}
 }
 
-// TestSizeFlush: MaxBatch requests arriving together must flush on size,
-// long before a distant deadline.
-func TestSizeFlush(t *testing.T) {
-	d := &echoDecider{}
-	b := NewBatcher(BatcherConfig{MaxBatch: 2, MaxWait: 10 * time.Second}, func() Decider { return d })
+// TestBusyReplicaCoalesces: requests that queue while the only replica is
+// busy ride the next batches together, MaxBatch at a time, and every
+// answer goes back to its own submitter.
+func TestBusyReplicaCoalesces(t *testing.T) {
+	const maxBatch = 4
+	g := newGate(3)
+	b := NewBatcher(BatcherConfig{MaxBatch: maxBatch}, func() Decider { return gatedDecider{&echoDecider{}, g} })
 	defer b.Close()
+	defer g.open()
 
+	sizes := make(chan int, maxBatch+3)
 	var wg sync.WaitGroup
-	sizes := make([]int, 2)
-	for i := range sizes {
+	submit := func(id int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			res, err := b.Submit(context.Background(), mark(i))
-			if err != nil {
-				t.Error(err)
-				return
+			res, err := b.Submit(context.Background(), mark(id))
+			switch {
+			case err != nil:
+				t.Errorf("submit %d: %v", id, err)
+			case res.Decision.Accel != float64(id):
+				t.Errorf("submit %d: crossed wires, got watermark %v", id, res.Decision.Accel)
+			default:
+				sizes <- res.BatchSize
 			}
-			sizes[i] = res.BatchSize
-		}(i)
+		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("size flush never fired; requests waited on the 10s deadline")
+	submit(0)
+	if n := waitEntered(t, g.entered); n != 1 {
+		t.Fatalf("first batch held %d requests, want 1", n)
 	}
-	for i, s := range sizes {
-		if s != 2 {
-			t.Errorf("request %d rode batch of %d, want 2", i, s)
+	for id := 1; id <= maxBatch+2; id++ {
+		submit(id)
+	}
+	waitQueued(t, b, maxBatch+2)
+	g.open()
+	for _, want := range []int{maxBatch, 2} {
+		if n := waitEntered(t, g.entered); n != want {
+			t.Errorf("batch held %d queued requests, want %d", n, want)
 		}
+	}
+	wg.Wait()
+	close(sizes)
+	count := map[int]int{}
+	for n := range sizes {
+		count[n]++
+	}
+	if want := map[int]int{1: 1, maxBatch: maxBatch, 2: 2}; !maps.Equal(count, want) {
+		t.Errorf("requests per batch size %v, want %v", count, want)
 	}
 }
 
@@ -181,7 +253,7 @@ func TestSizeFlush(t *testing.T) {
 // shutting down, and refuse everything after.
 func TestCloseDrains(t *testing.T) {
 	d := &echoDecider{delay: 2 * time.Millisecond}
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxWait: 500 * time.Microsecond, Queue: 4, Replicas: 2},
+	b := NewBatcher(BatcherConfig{MaxBatch: 4, Queue: 4, Replicas: 2},
 		func() Decider { return d })
 
 	const n = 32
@@ -226,7 +298,7 @@ func TestCloseDrains(t *testing.T) {
 // request is stuck behind a slow replica.
 func TestSubmitContextCancel(t *testing.T) {
 	d := &echoDecider{delay: 200 * time.Millisecond}
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond}, func() Decider { return d })
+	b := NewBatcher(BatcherConfig{MaxBatch: 1}, func() Decider { return d })
 	defer b.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -236,12 +308,12 @@ func TestSubmitContextCancel(t *testing.T) {
 	}
 }
 
-// TestBatchErrorShared: a failing replica fails the whole flushed batch,
+// TestBatchErrorShared: a failing replica fails the whole batch,
 // and the error reaches both the Result and the metrics registry.
 func TestBatchErrorShared(t *testing.T) {
 	reg := obs.NewRegistry()
 	d := &echoDecider{errEvery: 1}
-	b := NewBatcher(BatcherConfig{MaxBatch: 2, MaxWait: time.Millisecond, Metrics: reg}, func() Decider { return d })
+	b := NewBatcher(BatcherConfig{MaxBatch: 2, Metrics: reg}, func() Decider { return d })
 	defer b.Close()
 
 	res, err := b.Submit(context.Background(), mark(1))
@@ -261,7 +333,7 @@ func TestConfigDefaults(t *testing.T) {
 	b := NewBatcher(BatcherConfig{}, func() Decider { return &echoDecider{} })
 	defer b.Close()
 	cfg := b.Config()
-	if cfg.MaxBatch <= 0 || cfg.MaxWait <= 0 || cfg.Queue <= 0 || cfg.Replicas <= 0 {
+	if cfg.MaxBatch <= 0 || cfg.Queue <= 0 || cfg.Replicas <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if cfg.Queue < cfg.MaxBatch {

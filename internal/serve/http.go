@@ -37,11 +37,12 @@ type DecideResponse struct {
 	// BatchSize is how many requests shared the batched forward.
 	BatchSize int `json:"batch_size"`
 	// The server-side phase breakdown, microseconds: QueueMicros is
-	// enqueue → batch seal (the size-or-deadline wait), SealMicros is
-	// seal → a replica picking the batch up, InferMicros the batched
-	// forwards themselves, and ReplyMicros the reply handoff measured up
-	// to response serialization. DecideMicros = SealMicros + InferMicros
-	// (the pre-telemetry aggregate, kept for continuity).
+	// enqueue → a replica worker taking the batch off the queue (the wait
+	// for a free replica), SealMicros is that take → the batched forward
+	// starting, InferMicros the batched forwards themselves, and
+	// ReplyMicros the reply handoff measured up to response
+	// serialization. DecideMicros = SealMicros + InferMicros (the
+	// pre-telemetry aggregate, kept for continuity).
 	QueueMicros  int64 `json:"queue_us"`
 	SealMicros   int64 `json:"seal_us"`
 	InferMicros  int64 `json:"infer_us"`
@@ -54,7 +55,6 @@ type healthResponse struct {
 	Status   string  `json:"status"`
 	UptimeS  float64 `json:"uptime_s"`
 	Batch    int     `json:"batch"`
-	MaxWaitS float64 `json:"max_wait_s"`
 	Replicas int     `json:"replicas"`
 	Frames   int     `json:"frames"`
 	Backend  string  `json:"backend"`
@@ -120,7 +120,6 @@ func NewMux(b *Batcher, z int, backend string, sessions *SessionCache, reg *obs.
 			Status:   "ok",
 			UptimeS:  time.Since(start).Seconds(),
 			Batch:    cfg.MaxBatch,
-			MaxWaitS: cfg.MaxWait.Seconds(),
 			Replicas: cfg.Replicas,
 			Frames:   z,
 			Backend:  backend,

@@ -42,7 +42,7 @@ func wantRejected(t *testing.T, what string, resp *http.Response, out []byte) {
 
 func TestHTTPDecide(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, Metrics: reg},
+	b := NewBatcher(BatcherConfig{MaxBatch: 4, Metrics: reg},
 		func() Decider { return &echoDecider{} })
 	srv := httptest.NewServer(NewMux(b, 1, "f64", NewSessionCache(0), reg, nil))
 	defer srv.Close()
@@ -171,7 +171,7 @@ func TestHTTPDecide(t *testing.T) {
 }
 
 func TestHTTPBodyLimit(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond},
+	b := NewBatcher(BatcherConfig{MaxBatch: 1},
 		func() Decider { return &echoDecider{} })
 	srv := httptest.NewServer(NewMux(b, 1, "f64", NewSessionCache(0), nil, nil))
 	defer srv.Close()
@@ -201,7 +201,7 @@ func TestHTTPTelemetry(t *testing.T) {
 		SLO:       obs.NewSLO(obs.SLOConfig{P99TargetMs: 1000}),
 		Exemplars: NewExemplarRing(4, time.Minute, nil),
 	})
-	b := NewBatcher(BatcherConfig{MaxBatch: 2, MaxWait: time.Millisecond},
+	b := NewBatcher(BatcherConfig{MaxBatch: 2},
 		func() Decider { return &echoDecider{} })
 	srv := httptest.NewServer(NewMux(b, 1, "f64", NewSessionCache(0), nil, tel))
 	defer srv.Close()
@@ -311,7 +311,7 @@ func postWire(t *testing.T, url string, body []byte, acceptWire bool) (*http.Res
 // refused with 415 and a JSON error body naming the supported types — not
 // a misleading JSON parse 400.
 func TestHTTPUnknownContentType(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond},
+	b := NewBatcher(BatcherConfig{MaxBatch: 1},
 		func() Decider { return &echoDecider{} })
 	srv := httptest.NewServer(NewMux(b, 1, "f64", NewSessionCache(0), nil, nil))
 	defer srv.Close()
@@ -362,7 +362,7 @@ func TestHTTPUnknownContentType(t *testing.T) {
 // flow, hash-mismatch and eviction resyncs, and malformed-payload
 // rejection.
 func TestHTTPBinaryWire(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond},
+	b := NewBatcher(BatcherConfig{MaxBatch: 1},
 		func() Decider { return &echoDecider{} })
 	// Capacity 1 makes eviction deterministic: registering a second
 	// session always evicts the first.
@@ -480,7 +480,7 @@ func TestHTTPBinaryWire(t *testing.T) {
 // TestHTTPBinaryBodyLimit: the binary path honors the same body cap as
 // JSON.
 func TestHTTPBinaryBodyLimit(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxWait: time.Millisecond},
+	b := NewBatcher(BatcherConfig{MaxBatch: 1},
 		func() Decider { return &echoDecider{} })
 	srv := httptest.NewServer(NewMux(b, 1, "f64", NewSessionCache(0), nil, nil))
 	defer srv.Close()

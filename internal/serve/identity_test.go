@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,11 +153,16 @@ func TestBatcherServesIdentical(t *testing.T) {
 	want := ctrl.Decide(env)
 	snap := Snapshot(env.SensorHistory())
 
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, Replicas: 2},
-		func() Decider { return NewReplica(rcfg, base.Clone(), tinyServeAgent(env)) })
-	defer b.Close()
-
+	// Both replicas hold their first batch until every request is queued,
+	// so the rest pile up and ride shared batches.
 	const n = 12
+	g := newGate(n)
+	b := NewBatcher(BatcherConfig{MaxBatch: 4, Replicas: 2},
+		func() Decider { return gatedDecider{NewReplica(rcfg, base.Clone(), tinyServeAgent(env)), g} })
+	defer b.Close()
+	defer g.open()
+
+	var shared atomic.Bool
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -168,6 +174,9 @@ func TestBatcherServesIdentical(t *testing.T) {
 				t.Errorf("submit: %v", err)
 				return
 			}
+			if res.BatchSize > 1 {
+				shared.Store(true)
+			}
 			d := res.Decision
 			if d.Behavior != int(want.B) || math.Float64bits(d.Accel) != math.Float64bits(want.A) {
 				t.Errorf("served (%d, %x) != serial (%d, %x) at batch size %d",
@@ -176,7 +185,13 @@ func TestBatcherServesIdentical(t *testing.T) {
 			}
 		}()
 	}
+	held := waitEntered(t, g.entered) + waitEntered(t, g.entered)
+	waitQueued(t, b, n-held)
+	g.open()
 	wg.Wait()
+	if !shared.Load() {
+		t.Error("every request rode a batch of one; the batched path went untested")
+	}
 }
 
 // TestServedDecisionBitIdentityTelemetry extends the determinism contract
@@ -246,7 +261,7 @@ func TestServedDecisionBitIdentityTelemetry(t *testing.T) {
 	}
 	var bodies [][]byte
 	for _, mode := range modes {
-		b := NewBatcher(BatcherConfig{MaxBatch: 2, MaxWait: time.Millisecond},
+		b := NewBatcher(BatcherConfig{MaxBatch: 2},
 			func() Decider { return NewReplica(rcfg, base.Clone(), tinyServeAgent(env)) })
 		srv := httptest.NewServer(NewMux(b, cfg.Sensor.Z, "f64", NewSessionCache(0), nil, mode.tel()))
 		// Several requests per mode so the sampled mode exercises both the
@@ -328,7 +343,7 @@ func TestServedDecisionBitIdentityWire(t *testing.T) {
 	ctrl := &head.AgentController{ControllerName: "HEAD", Agent: tinyServeAgent(env)}
 	rcfg := ConfigFor(cfg)
 
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond},
+	b := NewBatcher(BatcherConfig{MaxBatch: 4},
 		func() Decider { return NewReplica(rcfg, base.Clone(), tinyServeAgent(env)) })
 	defer b.Close()
 	srv := httptest.NewServer(NewMux(b, cfg.Sensor.Z, "f64", NewSessionCache(0), nil, nil))

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"head/internal/head"
 	"head/internal/obs/quality"
@@ -88,7 +87,7 @@ func TestQualityEndpointHTTP(t *testing.T) {
 	tel := NewTelemetry(TelemetryConfig{
 		Quality: &QualityFeed{Monitor: mon, VehicleLen: cfg.Traffic.World.VehicleLen},
 	})
-	b := NewBatcher(BatcherConfig{MaxBatch: 2, MaxWait: time.Millisecond},
+	b := NewBatcher(BatcherConfig{MaxBatch: 2},
 		func() Decider { return NewReplica(rcfg, base.Clone(), tinyServeAgent(env)) })
 	defer b.Close()
 	srv := httptest.NewServer(NewMux(b, cfg.Sensor.Z, "f64", NewSessionCache(0), nil, tel))

@@ -12,7 +12,7 @@ import (
 	"head/internal/world"
 )
 
-// Decider handles one flushed batch of observations, writing out[i] for
+// Decider handles one batch of observations, writing out[i] for
 // obs[i]. An error fails the whole batch (every waiter receives it).
 // Implementations are owned by a single batcher worker goroutine and need
 // not be safe for concurrent use.

@@ -189,7 +189,7 @@ func TestDrainTelemetryFlush(t *testing.T) {
 	tel := NewTelemetry(TelemetryConfig{Tracer: tr, SLO: slo, Exemplars: ring})
 
 	d := &echoDecider{delay: 300 * time.Microsecond}
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxWait: 200 * time.Microsecond, Queue: 8, Replicas: 2},
+	b := NewBatcher(BatcherConfig{MaxBatch: 4, Queue: 8, Replicas: 2},
 		func() Decider { return d })
 	srv := httptest.NewServer(NewMux(b, 1, "f64", NewSessionCache(0), nil, tel))
 

@@ -1,9 +1,9 @@
 // Package serve is the online decision service of the HEAD framework: it
 // turns the batched execution engine outward, serving per-vehicle
 // "observe → predict → act" requests from many concurrent clients through
-// a size-or-deadline micro-batcher (Batcher) feeding a pool of trained
-// LST-GAT + BP-DQN replicas (Replica). Each flushed batch crosses the
-// networks once — one LSTGAT.PredictBatch and one BPDQN.SelectActionBatch
+// a work-conserving micro-batcher (Batcher) feeding a pool of trained
+// LST-GAT + BP-DQN replicas (Replica). Each batch crosses the networks
+// once — one LSTGAT.PredictBatch and one BPDQN.SelectActionBatch
 // for the whole group — while every per-request row keeps the serial FP
 // evaluation order, so a served decision is bit-identical to the decision
 // head.Env's in-process serial path takes for the same observation
@@ -80,7 +80,7 @@ func Snapshot(frames []sensor.Frame) Observation {
 
 // Validate checks an observation against the service's perception
 // geometry and rejects values the model must not compute on: exactly z
-// frames (the LST-GAT history length every replica in a flush batch must
+// frames (the LST-GAT history length every request in a batch must
 // agree on), a bounded vehicle count per frame, finite AV and vehicle
 // states (the binary wires can carry NaN and ±Inf), and no vehicle ID
 // twice in one frame (a frame is a map from ID to state; a repeat would
