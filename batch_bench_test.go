@@ -1,7 +1,7 @@
 package head_test
 
-// Benchmarks of the batched execution engine (internal/batch and the
-// PredictBatch/SelectActionBatch entry points underneath it). Each
+// Benchmarks of the batched execution engine (head.Perception, head.Group
+// and the PredictBatch/SelectActionBatch entry points underneath them). Each
 // benchmark processes batchEnvs environments per op, so per-env cost is
 // ns/op ÷ batchEnvs. Steady state must stay allocation-free: all
 // batch-shaped intermediates come from the same workspace arenas as the
@@ -23,8 +23,8 @@ import (
 const batchEnvs = 8
 
 // BenchmarkLSTGATForwardBatch times one batched LST-GAT prediction over
-// eight graphs — the call that replaces eight one-graph Predicts in the
-// lock-step environment runner.
+// eight graphs — the forward one head.Perception run makes for a
+// lock-step group of eight.
 func BenchmarkLSTGATForwardBatch(b *testing.B) {
 	ds, model := benchPredictor(11)
 	gs := make([]*phantom.Graph, batchEnvs)

@@ -55,7 +55,7 @@ func BenchmarkTableIEndToEnd(b *testing.B) {
 	ctrl := policy.NewIDMLC(env.Cfg.Traffic.World)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eval.RunEpisodes(ctrl, env, 1)
+		eval.Run(1, 1, 1, nil, nil, nil, func(int) (head.Controller, *head.Env) { return ctrl, env })
 	}
 }
 

@@ -27,13 +27,10 @@ import (
 	"runtime"
 	"time"
 
-	"head/internal/eval"
 	"head/internal/experiments"
 	"head/internal/head"
-	"head/internal/nn"
 	"head/internal/obs"
 	"head/internal/obs/quality"
-	"head/internal/parallel"
 	"head/internal/rl"
 )
 
@@ -150,7 +147,9 @@ func trainRun(s experiments.Scale, dir, scaleName string) error {
 	// export the behavioral baseline next to the checkpoints, so headserve
 	// -quality-baseline can detect online drift against it.
 	fmt.Printf("profiling decision-quality baseline (%d episodes)...\n", s.TestEpisodes)
-	qb, err := experiments.ExportQualityBaseline(s, dir, "headtrain", scaleName, predictor, agent)
+	rec := quality.NewRecorder("HEAD")
+	experiments.EvaluateHEAD(s, predictor, agent, rec)
+	qb, err := experiments.ExportQualityBaseline(s, dir, "headtrain", scaleName, rec)
 	if err != nil {
 		return err
 	}
@@ -179,25 +178,21 @@ func evaluate(s experiments.Scale, dir, scaleName, qualityOut string) error {
 	if err != nil {
 		return err
 	}
-	cfg := s.EnvConfig()
-	rc := s.RLConfig()
-	spec := rl.DefaultStateSpec()
-	aMax := cfg.Traffic.World.AMax
-	// Each test episode gets private replicas of the loaded models; the
-	// metrics are identical for any -workers and -batch-envs value.
-	m := eval.RunEpisodesBatched(s.TestEpisodes, s.BatchEnvs, s.Workers, s.Metrics, s.Trace, func(ep int) (head.Controller, *head.Env) {
-		env := head.NewEnv(cfg, predictor.Clone(), parallel.Rand(s.Seed+1000, int64(ep)))
-		a := rl.NewBPDQN(rc, spec, aMax, s.RLHidden, rand.New(rand.NewSource(0)))
-		nn.CopyParams(a, agent)
-		return &head.AgentController{ControllerName: "HEAD", Agent: a}, env
-	})
+	// One pass feeds the metrics and, with -quality-out, the baseline. Each
+	// test episode gets private replicas of the loaded models; the metrics
+	// are identical for any -workers and -batch-envs value.
+	var rec *quality.Recorder
+	if qualityOut != "" {
+		rec = quality.NewRecorder("HEAD")
+	}
+	m := experiments.EvaluateHEAD(s, predictor, agent, rec)
 	fmt.Printf("HEAD over %d episodes: AvgDT-A %.1fs  AvgV-A %.2fm/s  AvgJ-A %.2f  Avg#-CA %.1f  MinTTC-A %.2fs  collisions %d\n",
 		m.Episodes, m.AvgDTA, m.AvgVA, m.AvgJA, m.AvgCA, m.MinTTCA, m.Collisions)
 	if qualityOut != "" {
 		if err := os.MkdirAll(qualityOut, 0o755); err != nil {
 			return err
 		}
-		qb, err := experiments.ExportQualityBaseline(s, qualityOut, "headtrain", scaleName, predictor, agent)
+		qb, err := experiments.ExportQualityBaseline(s, qualityOut, "headtrain", scaleName, rec)
 		if err != nil {
 			return err
 		}

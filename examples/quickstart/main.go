@@ -58,10 +58,13 @@ func main() {
 		}
 	}
 
-	// 5. Aggregate the paper's metrics over a few episodes.
+	// 5. Aggregate the paper's metrics over a few episodes, stepped in
+	// lock-step as one group of five: one batched perception and one
+	// batched decision per step.
 	fmt.Println("\nevaluating over 5 episodes:")
-	metricsEnv := head.NewEnv(cfg, predictor, rand.New(rand.NewSource(8)))
-	m := eval.RunEpisodes(ctrl, metricsEnv, 5)
+	m := eval.Run(5, 5, 1, nil, nil, nil, func(ep int) (head.Controller, *head.Env) {
+		return ctrl, head.NewEnv(cfg, predictor.Clone(), rand.New(rand.NewSource(8+int64(ep))))
+	})
 	fmt.Printf("  AvgDT-A %.1fs  AvgV-A %.1fm/s  AvgJ-A %.2fm/s²  Avg#-CA %.1f  MinTTC-A %.2fs\n",
 		m.AvgDTA, m.AvgVA, m.AvgJA, m.AvgCA, m.MinTTCA)
 }

@@ -1,7 +1,8 @@
-// Package eval is the end-to-end evaluation harness: it rolls controllers
-// through HEAD environments and computes the macroscopic and microscopic
-// metrics of Tables I and II (AvgDT-A, AvgDT-C, Avg#-CA, MinTTC-A, AvgV-A,
-// AvgJ-A, AvgD-CA), the reward statistics of Table V, and the reward
+// Package eval is the end-to-end evaluation harness: one runner, Run,
+// rolls controllers through HEAD environments in lock-step groups
+// (head.Group; width 1 is a group of one) and computes the macroscopic and
+// microscopic metrics of Tables I and II (AvgDT-A, AvgDT-C, Avg#-CA,
+// MinTTC-A, AvgV-A, AvgJ-A, AvgD-CA); grid.go holds the reward
 // coefficient search of Table VII.
 package eval
 
@@ -11,7 +12,6 @@ import (
 	"math"
 	"sort"
 
-	"head/internal/batch"
 	"head/internal/head"
 	"head/internal/obs"
 	"head/internal/obs/quality"
@@ -87,10 +87,8 @@ type episodeTotals struct {
 	finished, collisions             int
 }
 
-// epAccum accumulates one episode's partial sums step by step. It is the
-// single implementation of the per-step metric arithmetic, shared by the
-// serial episode loop and the lock-step batched runner so both produce the
-// exact same float operations in the exact same order per episode.
+// epAccum accumulates one episode's partial sums step by step, in the
+// episode's own step order whatever group it runs in.
 type epAccum struct {
 	t       episodeTotals
 	env     *head.Env
@@ -192,49 +190,6 @@ func (a *epAccum) finish() episodeTotals {
 	return *t
 }
 
-// runEpisode rolls one evaluation episode and returns its partial sums.
-// A non-nil lane records the episode/step/phase spans and per-step
-// decision records (the environment is attached for the duration). A
-// recorder that profiles this controller additionally receives one
-// quality.Sample per decision — like every other sink here it is
-// write-only, so the returned totals never depend on it.
-func runEpisode(ctrl head.Controller, env *head.Env, eo episodeObs, episode int, lane *span.Lane, rec *quality.Recorder) episodeTotals {
-	er := lane.StartEpisode(episode)
-	defer er.End()
-	env.SetTrace(lane)
-	defer env.SetTrace(nil)
-	env.Reset()
-	ctrl.Reset()
-	profile := rec.Enabled(ctrl.Name())
-	acc := newEpAccum(env, eo)
-	for step := 0; !env.Done(); step++ {
-		sr := lane.StartStep(step)
-		var qs quality.Sample
-		var qok bool
-		if profile {
-			qs, qok = qualitySample(env)
-		}
-		fw := lane.Start("bpdqn_forward")
-		man := ctrl.Decide(env)
-		fw.End()
-		out := env.StepManeuver(man)
-		sr.End()
-		acc.observe(out)
-		if qok {
-			// The decision side of the sample: man.A is the agent's raw
-			// (pre-clamp) output — the same value the decision service
-			// returns as Decision.Accel, so the two sides bin identically.
-			qs.Behavior, qs.Accel = int(man.B), man.A
-			qs.Reward = out.Reward
-			qs.Safety, qs.Efficiency = out.Terms.Safety, out.Terms.Efficiency
-			qs.Comfort, qs.Impact = out.Terms.Comfort, out.Terms.Impact
-			qs.RewardValid = true
-			rec.Observe(qs)
-		}
-	}
-	return acc.finish()
-}
-
 // qualitySample summarizes the pre-decision observation the way the
 // serving path sees it: the latest sensor frame's AV speed and neighbor
 // count, the front-leader TTC from the sensed (not ground-truth) states,
@@ -316,99 +271,26 @@ func reduce(method string, w world.Config, parts []episodeTotals) Metrics {
 	return m
 }
 
-// RunEpisodes evaluates a controller over the given number of test
-// episodes on env (which is Reset per episode). Episodes run serially on
-// the shared controller/environment pair; use RunEpisodesParallel when
-// independent per-episode replicas are available.
-func RunEpisodes(ctrl head.Controller, env *head.Env, episodes int) Metrics {
-	parts := make([]episodeTotals, 0, episodes)
-	for ep := 0; ep < episodes; ep++ {
-		parts = append(parts, runEpisode(ctrl, env, episodeObs{}, ep, nil, nil))
-	}
-	return reduce(ctrl.Name(), env.Cfg.Traffic.World, parts)
-}
-
-// RunEpisodesParallel evaluates episodes concurrently on at most workers
-// goroutines (0 means all cores). setup(ep) must return a controller and
-// environment owned by that episode alone — network layers cache forward
-// activations, so trained models must be cloned per episode, and the
-// environment's RNG must be derived from the episode index (see
-// parallel.Rand). Per-episode results are reduced in episode order, so the
-// returned Metrics are bit-identical for every worker count.
-func RunEpisodesParallel(episodes, workers int, setup func(episode int) (head.Controller, *head.Env)) Metrics {
-	return RunEpisodesObserved(episodes, workers, nil, nil, setup)
-}
-
-// RunEpisodesObserved is RunEpisodesParallel with live observability:
-// per-step TTC and rear-deceleration histograms plus episode counters
-// stream into reg, and episode/step/phase spans plus decision records
-// onto a fresh per-episode lane of tr, while the evaluation runs (either
-// may be nil). Both sinks are write-only, so the returned Metrics stay
-// bit-identical for every worker count with or without them.
-func RunEpisodesObserved(episodes, workers int, reg *obs.Registry, tr *span.Tracer, setup func(episode int) (head.Controller, *head.Env)) Metrics {
-	return runEpisodesObserved(episodes, workers, reg, tr, nil, setup)
-}
-
-func runEpisodesObserved(episodes, workers int, reg *obs.Registry, tr *span.Tracer, rec *quality.Recorder, setup func(episode int) (head.Controller, *head.Env)) Metrics {
+// Run evaluates episodes in lock-step groups of batchEnvs (≤ 1 runs
+// groups of one) on at most workers goroutines (0 means all cores).
+// setup(ep) must return a controller and environment owned by that episode
+// alone — network layers cache forward activations, so trained models are
+// cloned per episode, and the environment's RNG derives from the episode
+// index (see parallel.Rand). A group's first controller decides for every
+// member, so the policies must be identical clones.
+//
+// Observation is out of band: per-step TTC and rear-deceleration
+// histograms plus episode counters stream into reg, spans and decision
+// records onto one lane of tr per group, and when rec profiles the
+// controller, one quality.Sample per decision into rec (any may be nil).
+// Per-episode results reduce in episode order and the batched forwards are
+// bit-identical per row, so the returned Metrics — and rec's baseline —
+// are byte-identical for every batch width and worker count.
+func Run(episodes, batchEnvs, workers int, reg *obs.Registry, tr *span.Tracer, rec *quality.Recorder, setup func(episode int) (head.Controller, *head.Env)) Metrics {
 	if episodes <= 0 {
 		return Metrics{}
 	}
-	eo := newEpisodeObs(reg)
-	type epResult struct {
-		totals episodeTotals
-		name   string
-		world  world.Config
-	}
-	parts, _ := parallel.Map(context.Background(), episodes, workers, func(ep int) (epResult, error) {
-		ctrl, env := setup(ep)
-		// A fresh lane per episode: episodes run concurrently and a Lane
-		// is single-goroutine; a nil tracer yields a nil (silent) lane.
-		lane := tr.Lane(fmt.Sprintf("eval-%03d", ep))
-		return epResult{
-			totals: runEpisode(ctrl, env, eo, ep, lane, rec),
-			name:   ctrl.Name(),
-			world:  env.Cfg.Traffic.World,
-		}, nil
-	})
-	totals := make([]episodeTotals, len(parts))
-	for i, p := range parts {
-		totals[i] = p.totals
-	}
-	return reduce(parts[0].name, parts[0].world, totals)
-}
-
-// RunEpisodesProfiled is RunEpisodesBatched plus decision-quality
-// profiling: each decision the recorder's method makes streams one
-// quality.Sample into rec. A non-nil recorder forces the serial
-// (non-batched) episode path — the lock-step group runner has no
-// per-decision hook — which is safe because the batched forwards are
-// bit-identical to serial: the returned Metrics are byte-identical for
-// every batch width, recorder or not. rec nil degrades to
-// RunEpisodesBatched unchanged.
-func RunEpisodesProfiled(episodes, batchEnvs, workers int, reg *obs.Registry, tr *span.Tracer, rec *quality.Recorder, setup func(episode int) (head.Controller, *head.Env)) Metrics {
-	if rec == nil {
-		return RunEpisodesBatched(episodes, batchEnvs, workers, reg, tr, setup)
-	}
-	return runEpisodesObserved(episodes, workers, reg, tr, rec, setup)
-}
-
-// RunEpisodesBatched is RunEpisodesObserved on the lock-step runner: the
-// episodes are processed in groups of batchEnvs whose members step
-// together, so the LST-GAT forward and the action selection cross the
-// networks once per lock-step iteration for the whole group. Groups still
-// fan out over workers. setup keeps the RunEpisodesParallel contract — a
-// fresh controller/environment pair per episode, with identical (cloned)
-// policies, because the group's first controller decides for every member.
-// Per-episode results reduce in episode order, and the batched forwards
-// are bit-identical to serial, so the returned Metrics are byte-identical
-// to RunEpisodesObserved for every batch width and worker count.
-func RunEpisodesBatched(episodes, batchEnvs, workers int, reg *obs.Registry, tr *span.Tracer, setup func(episode int) (head.Controller, *head.Env)) Metrics {
-	if batchEnvs <= 1 {
-		return RunEpisodesObserved(episodes, workers, reg, tr, setup)
-	}
-	if episodes <= 0 {
-		return Metrics{}
-	}
+	batchEnvs = max(batchEnvs, 1)
 	eo := newEpisodeObs(reg)
 	groups := (episodes + batchEnvs - 1) / batchEnvs
 	type groupResult struct {
@@ -418,30 +300,46 @@ func RunEpisodesBatched(episodes, batchEnvs, workers int, reg *obs.Registry, tr 
 	}
 	parts, _ := parallel.Map(context.Background(), groups, workers, func(gi int) (groupResult, error) {
 		lo := gi * batchEnvs
-		hi := lo + batchEnvs
-		if hi > episodes {
-			hi = episodes
-		}
-		envs := make([]*head.Env, 0, hi-lo)
+		hi := min(lo+batchEnvs, episodes)
+		g := &head.Group{First: lo}
 		accs := make([]*epAccum, 0, hi-lo)
-		var ctrl head.Controller
 		for ep := lo; ep < hi; ep++ {
-			c, env := setup(ep)
-			if ctrl == nil {
-				ctrl = c
+			ctrl, env := setup(ep)
+			if g.Ctrl == nil {
+				g.Ctrl = ctrl
 			}
-			envs = append(envs, env)
+			g.Envs = append(g.Envs, env)
 			accs = append(accs, newEpAccum(env, eo))
 		}
-		lane := tr.Lane(fmt.Sprintf("evalbatch-%03d", gi))
-		er := lane.StartEpisode(lo)
-		g := batch.New(ctrl, envs)
-		g.Run(lane, func(i int, out head.StepOutcome) { accs[i].observe(out) })
-		er.End()
+		var before func(i int, m world.Maneuver)
+		samples := make([]quality.Sample, len(g.Envs))
+		sampled := make([]bool, len(g.Envs))
+		if rec.Enabled(g.Ctrl.Name()) {
+			before = func(i int, m world.Maneuver) {
+				samples[i], sampled[i] = qualitySample(g.Envs[i])
+				// The decision side of the sample: m.A is the agent's raw
+				// (pre-clamp) output — the same value the decision service
+				// returns as Decision.Accel, so the two sides bin
+				// identically.
+				samples[i].Behavior, samples[i].Accel = int(m.B), m.A
+			}
+		}
+		// A nil tracer yields a nil (silent) lane.
+		g.Run(tr.Lane(fmt.Sprintf("eval-%03d", gi)), before, func(i int, out head.StepOutcome) {
+			accs[i].observe(out)
+			if sampled[i] {
+				qs := &samples[i]
+				qs.Reward = out.Reward
+				qs.Safety, qs.Efficiency = out.Terms.Safety, out.Terms.Efficiency
+				qs.Comfort, qs.Impact = out.Terms.Comfort, out.Terms.Impact
+				qs.RewardValid = true
+				rec.Observe(*qs)
+			}
+		})
 		res := groupResult{
-			totals: make([]episodeTotals, len(envs)),
-			name:   ctrl.Name(),
-			world:  envs[0].Cfg.Traffic.World,
+			totals: make([]episodeTotals, len(accs)),
+			name:   g.Ctrl.Name(),
+			world:  g.Envs[0].Cfg.Traffic.World,
 		}
 		for i, a := range accs {
 			res.totals[i] = a.finish()
@@ -453,4 +351,9 @@ func RunEpisodesBatched(episodes, batchEnvs, workers int, reg *obs.Registry, tr 
 		totals = append(totals, p.totals...)
 	}
 	return reduce(parts[0].name, parts[0].world, totals)
+}
+
+// RunEpisodesBatched is Run without decision-quality profiling.
+func RunEpisodesBatched(episodes, batchEnvs, workers int, reg *obs.Registry, tr *span.Tracer, setup func(episode int) (head.Controller, *head.Env)) Metrics {
+	return Run(episodes, batchEnvs, workers, reg, tr, nil, setup)
 }

@@ -1,11 +1,14 @@
 package eval
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"head/internal/head"
+	"head/internal/obs/span"
 	"head/internal/policy"
 	"head/internal/predict"
 	"head/internal/reward"
@@ -21,10 +24,16 @@ func tinyEnv(seed int64) *head.Env {
 	return head.NewEnv(cfg, nil, rand.New(rand.NewSource(seed)))
 }
 
+// serial runs every episode on one shared controller/environment pair: a
+// valid setup for Run with one worker and groups of one.
+func serial(ctrl head.Controller, env *head.Env) func(int) (head.Controller, *head.Env) {
+	return func(int) (head.Controller, *head.Env) { return ctrl, env }
+}
+
 func TestRunEpisodesMetrics(t *testing.T) {
 	env := tinyEnv(1)
 	ctrl := policy.NewIDMLC(env.Cfg.Traffic.World)
-	m := RunEpisodes(ctrl, env, 3)
+	m := Run(3, 1, 1, nil, nil, nil, serial(ctrl, env))
 	if m.Method != "IDM-LC" {
 		t.Errorf("Method = %q", m.Method)
 	}
@@ -62,7 +71,7 @@ func TestRunEpisodesDTARelatesToVelocity(t *testing.T) {
 	cfg.Traffic.Density = 0
 	cfg.MaxSteps = 300
 	fast := head.NewEnv(cfg, nil, rand.New(rand.NewSource(2)))
-	m := RunEpisodes(policy.NewIDMLC(cfg.Traffic.World), fast, 2)
+	m := Run(2, 1, 1, nil, nil, nil, serial(policy.NewIDMLC(cfg.Traffic.World), fast))
 	if m.Finished != 2 {
 		t.Fatalf("IDM-LC should finish an empty road: %+v", m)
 	}
@@ -144,7 +153,7 @@ func (crashController) Decide(env *head.Env) world.Maneuver {
 
 func TestRunEpisodesCollisions(t *testing.T) {
 	env := tinyEnv(60)
-	m := RunEpisodes(crashController{}, env, 3)
+	m := Run(3, 1, 1, nil, nil, nil, serial(crashController{}, env))
 	if m.Collisions != 3 {
 		t.Errorf("Collisions = %d, want 3", m.Collisions)
 	}
@@ -159,15 +168,15 @@ func TestRunEpisodesCollisions(t *testing.T) {
 
 func TestRunEpisodesZeroEpisodes(t *testing.T) {
 	env := tinyEnv(61)
-	m := RunEpisodes(crashController{}, env, 0)
+	m := Run(0, 1, 1, nil, nil, nil, serial(crashController{}, env))
 	if m.Episodes != 0 || m.AvgVA != 0 || m.AvgDTA != 0 {
 		t.Errorf("zero-episode metrics = %+v", m)
 	}
 }
 
 // batchedSetup builds a per-episode HEAD controller and environment with
-// identical agent/predictor weights for every episode — the contract
-// RunEpisodesBatched requires of its setup function.
+// identical agent/predictor weights for every episode — the contract Run
+// requires of its setup function.
 func batchedSetup(t *testing.T, usePrediction bool) func(ep int) (head.Controller, *head.Env) {
 	t.Helper()
 	cfg := head.DefaultEnvConfig()
@@ -178,10 +187,7 @@ func batchedSetup(t *testing.T, usePrediction bool) func(ep int) (head.Controlle
 	pcfg := predict.DefaultLSTGATConfig()
 	pcfg.AttnDim, pcfg.GATOut, pcfg.HiddenDim = 8, 6, 8
 	return func(ep int) (head.Controller, *head.Env) {
-		var p predict.Model
-		if usePrediction {
-			p = predict.NewLSTGAT(pcfg, rand.New(rand.NewSource(5)))
-		}
+		p := predict.NewLSTGAT(pcfg, rand.New(rand.NewSource(5)))
 		env := head.NewEnv(cfg, p, rand.New(rand.NewSource(100+int64(ep))))
 		agent := rl.NewBPDQN(rl.DefaultPDQNConfig(), env.Spec(), env.AMax(), 8, rand.New(rand.NewSource(9)))
 		return &head.AgentController{ControllerName: "HEAD", Agent: agent}, env
@@ -197,28 +203,58 @@ func TestRunEpisodesBatchedBitIdentity(t *testing.T) {
 	const episodes = 7
 	for _, usePred := range []bool{true, false} {
 		setup := batchedSetup(t, usePred)
-		want := RunEpisodesObserved(episodes, 1, nil, nil, setup)
+		want := RunEpisodesBatched(episodes, 1, 1, nil, nil, setup)
 		for _, be := range []int{2, 3, 8} {
 			got := RunEpisodesBatched(episodes, be, 1, nil, nil, setup)
 			if got != want {
-				t.Errorf("usePrediction=%v batchEnvs=%d metrics diverged:\nbatched %+v\nserial  %+v", usePred, be, got, want)
+				t.Errorf("usePrediction=%v batchEnvs=%d metrics diverged:\nbatched %+v\nwidth 1 %+v", usePred, be, got, want)
 			}
 		}
 		// Worker parallelism on top of batching must not change bytes
 		// either.
 		if got := RunEpisodesBatched(episodes, 3, 4, nil, nil, setup); got != want {
-			t.Errorf("usePrediction=%v batchEnvs=3 workers=4 diverged from serial", usePred)
+			t.Errorf("usePrediction=%v batchEnvs=3 workers=4 diverged from width 1", usePred)
 		}
 	}
 }
 
-// TestRunEpisodesBatchedDelegates checks the width-1 path is exactly the
-// serial runner (shared code, not a parallel reimplementation).
-func TestRunEpisodesBatchedDelegates(t *testing.T) {
-	setup := batchedSetup(t, false)
-	a := RunEpisodesObserved(4, 2, nil, nil, setup)
-	b := RunEpisodesBatched(4, 1, 2, nil, nil, setup)
-	if a != b {
-		t.Errorf("batchEnvs=1 diverged from RunEpisodesObserved:\n%+v\n%+v", b, a)
+// TestRunDecisionRecordsPerMember requires the decision records of a
+// batched evaluation to be the width-1 records: each member files its
+// records under its own episode, with its own attention rows, and no
+// (episode, step) key repeats.
+func TestRunDecisionRecordsPerMember(t *testing.T) {
+	const episodes = 6
+	setup := batchedSetup(t, true)
+	records := func(width int) map[[2]int32]span.Decision {
+		t.Helper()
+		var buf bytes.Buffer
+		tr := span.New(span.Config{Sample: 1, Decisions: &buf})
+		Run(episodes, width, 1, nil, tr, nil, setup)
+		ds, err := span.ReadDecisions(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byKey := map[[2]int32]span.Decision{}
+		for _, d := range ds {
+			k := [2]int32{d.Ep, d.Step}
+			if _, dup := byKey[k]; dup {
+				t.Fatalf("width %d: (ep %d, step %d) recorded twice", width, d.Ep, d.Step)
+			}
+			if len(d.Attention) == 0 {
+				t.Fatalf("width %d: (ep %d, step %d) has no attention", width, d.Ep, d.Step)
+			}
+			d.Lane, d.Unit = 0, "" // lanes are per group
+			byKey[k] = d
+		}
+		return byKey
+	}
+	want, got := records(1), records(4)
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("%d records at width 4, %d at width 1", len(got), len(want))
+	}
+	for k, w := range want {
+		if !reflect.DeepEqual(got[k], w) {
+			t.Errorf("(ep %d, step %d): width 4 %+v\nwidth 1 %+v", k[0], k[1], got[k], w)
+		}
 	}
 }

@@ -72,7 +72,7 @@ type Scale struct {
 	// only wall-clock time does — and ConfigHash leaves it out.
 	Workers int
 	// BatchEnvs is the batched-execution width: evaluation episodes run in
-	// lock-step groups of this size (internal/batch), and training enables
+	// lock-step groups of this size (head.Group), and training enables
 	// the agent's out-of-band batch mechanisms (batched target-network
 	// evaluation, replay prefetch). Like Workers it is a throughput knob
 	// only — table bytes and checkpoints are bit-identical for every
@@ -336,11 +336,7 @@ func TrainedPredictorObserved(s Scale, rng *rand.Rand, epochSink func(epoch int,
 // (nil for w/o-LST-GAT).
 func (s Scale) trainHEADAgent(v head.Variant, predictor *predict.LSTGAT, unit int64) (rl.Agent, head.EnvConfig) {
 	cfg := head.ApplyVariant(s.envConfig(), v)
-	var p predict.Model
-	if predictor != nil {
-		p = predictor
-	}
-	env := head.NewEnv(cfg, p, s.unitRand(unit, streamTrainEnv))
+	env := head.NewEnv(cfg, predictor, s.unitRand(unit, streamTrainEnv))
 	agent := head.NewVariantAgent(v, s.rlConfig(), env.Spec(), env.AMax(), s.RLHidden, s.unitRand(unit, streamAgent))
 	rl.TrainObserved(agent, env, s.TrainEpisodes, s.MaxSteps, s.instrUnit(unit))
 	return agent, cfg
@@ -352,10 +348,10 @@ func (s Scale) trainHEADAgent(v head.Variant, predictor *predict.LSTGAT, unit in
 // trained models must be cloned per call, never shared across episodes.
 func (s Scale) evalController(cfg head.EnvConfig, predictor *predict.LSTGAT, mkCtrl func(episode int) head.Controller) eval.Metrics {
 	evalSeed := s.evalSeed()
-	return eval.RunEpisodesProfiled(s.TestEpisodes, s.BatchEnvs, s.Workers, s.Metrics, s.Trace, s.Quality, func(ep int) (head.Controller, *head.Env) {
-		var p predict.Model
-		if predictor != nil {
-			p = predictor.Clone()
+	return eval.Run(s.TestEpisodes, s.BatchEnvs, s.Workers, s.Metrics, s.Trace, s.Quality, func(ep int) (head.Controller, *head.Env) {
+		p := predictor
+		if p != nil {
+			p = p.Clone()
 		}
 		env := head.NewEnv(cfg, p, parallel.Rand(evalSeed, int64(ep)))
 		return mkCtrl(ep), env

@@ -14,6 +14,7 @@ import (
 
 	"head/internal/head"
 	"head/internal/nn"
+	"head/internal/obs/quality"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden hashes from the current code")
@@ -110,21 +111,35 @@ func TestGoldenBitIdentity(t *testing.T) {
 // runs serially or with lock-step evaluation groups and training-side
 // batch mechanisms enabled. Combined with TestGoldenBitIdentity (which
 // pins the serial run to the pre-batching golden), this proves the
-// batched engine changed only wall-clock time, never a bit of output.
+// batched engine changed only wall-clock time, never a bit of output. The
+// HEAD evaluation also profiles its decisions, and the quality baseline
+// must come out byte-identical at every width too.
 func TestBatchEnvsBitIdentity(t *testing.T) {
-	state := func(batchEnvs int) (string, string) {
+	state := func(batchEnvs int) (string, string, []byte) {
 		s := micro()
 		s.BatchEnvs = batchEnvs
-		return goldenState(t, s)
+		s.Quality = quality.NewRecorder("HEAD")
+		table, ckpt := goldenState(t, s)
+		if s.Quality.Steps() == 0 {
+			t.Fatalf("BatchEnvs=%d: the HEAD evaluation profiled no decisions", batchEnvs)
+		}
+		base, err := json.Marshal(s.Quality.Baseline(quality.Baseline{Tool: "golden"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table, ckpt, base
 	}
-	wantTable, wantCkpt := state(1)
+	wantTable, wantCkpt, wantBase := state(1)
 	for _, be := range []int{2, 8} {
-		gotTable, gotCkpt := state(be)
+		gotTable, gotCkpt, gotBase := state(be)
 		if gotTable != wantTable {
 			t.Errorf("BatchEnvs=%d Table I bytes diverged:\n  got  %s\n  want %s", be, gotTable, wantTable)
 		}
 		if gotCkpt != wantCkpt {
 			t.Errorf("BatchEnvs=%d checkpoint bytes diverged:\n  got  %s\n  want %s", be, gotCkpt, wantCkpt)
+		}
+		if !bytes.Equal(gotBase, wantBase) {
+			t.Errorf("BatchEnvs=%d quality baseline bytes diverged:\n  got  %s\n  want %s", be, gotBase, wantBase)
 		}
 	}
 }

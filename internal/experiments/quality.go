@@ -14,27 +14,29 @@ import (
 	"head/internal/rl"
 )
 
-// ExportQualityBaseline rolls the trained HEAD policy through the scale's
-// test episodes with decision-quality profiling on and writes the
-// behavioral baseline next to the checkpoints as quality_baseline.json
-// (quality.BaselineFile). The episode stream matches headtrain's
-// evaluation mode — environment ep draws from (Seed+1000, ep) — so the
-// baseline describes exactly the decisions that evaluation reports, and
-// the recorder's order-independent fold makes the written bytes identical
-// for every Workers/BatchEnvs value. The returned baseline is the one
-// written.
-func ExportQualityBaseline(s Scale, dir, tool, scaleName string, predictor *predict.LSTGAT, agent *rl.PDQN) (*quality.Baseline, error) {
-	rec := quality.NewRecorder("HEAD")
+// EvaluateHEAD rolls the trained HEAD policy through the scale's test
+// episodes over private replicas of the models: headtrain's evaluation,
+// where environment ep draws from (Seed+1000, ep). A non-nil rec profiles
+// every decision; the recorder's order-independent fold makes its
+// baseline, like the returned Metrics, identical for every
+// Workers/BatchEnvs value.
+func EvaluateHEAD(s Scale, predictor *predict.LSTGAT, agent *rl.PDQN, rec *quality.Recorder) eval.Metrics {
 	cfg := s.EnvConfig()
 	rc := s.RLConfig()
 	spec := rl.DefaultStateSpec()
 	aMax := cfg.Traffic.World.AMax
-	eval.RunEpisodesProfiled(s.TestEpisodes, s.BatchEnvs, s.Workers, s.Metrics, s.Trace, rec, func(ep int) (head.Controller, *head.Env) {
+	return eval.Run(s.TestEpisodes, s.BatchEnvs, s.Workers, s.Metrics, s.Trace, rec, func(ep int) (head.Controller, *head.Env) {
 		env := head.NewEnv(cfg, predictor.Clone(), parallel.Rand(s.Seed+1000, int64(ep)))
 		a := rl.NewBPDQN(rc, spec, aMax, s.RLHidden, rand.New(rand.NewSource(0)))
 		nn.CopyParams(a, agent)
 		return &head.AgentController{ControllerName: "HEAD", Agent: a}, env
 	})
+}
+
+// ExportQualityBaseline writes the behavioral baseline rec profiled over
+// the scale's test episodes (see EvaluateHEAD) into dir as
+// quality_baseline.json (quality.BaselineFile), and returns it.
+func ExportQualityBaseline(s Scale, dir, tool, scaleName string, rec *quality.Recorder) (*quality.Baseline, error) {
 	b := rec.Baseline(quality.Baseline{
 		Tool:       tool,
 		Scale:      scaleName,

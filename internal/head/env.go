@@ -1,10 +1,12 @@
 // Package head wires the HEAD framework together (Figure 1): the enhanced
 // perception module (sensor → phantom vehicle construction → LST-GAT state
 // prediction) feeds augmented states into the maneuver decision module
-// (BP-DQN over the PAMDP with the hybrid reward function). The package
-// exposes the pipeline as an rl.Env so any PAMDP solver can drive the
-// autonomous vehicle, plus ablation switches for the HEAD-variants of the
-// paper's Table II.
+// (BP-DQN over the PAMDP with the hybrid reward function). Perception is
+// one batched pipeline, Perception, run at B = 1 by Env, at B = the live
+// members by the lock-step Group, and at B = the micro-batch by the
+// decision service. The package exposes the environment as an rl.Env so
+// any PAMDP solver can drive the autonomous vehicle, plus ablation
+// switches for the HEAD-variants of the paper's Table II.
 package head
 
 import (
@@ -62,49 +64,39 @@ const (
 )
 
 // Env is one HEAD episode environment over the traffic simulator. It
-// implements rl.Env.
+// implements rl.Env. Physics, sensing and reward are its own; its
+// perception is row 0 of a batch-of-one Perception, or the row a lock-step
+// Group hands it.
 type Env struct {
-	Cfg       EnvConfig
-	Predictor predict.Model // nil disables prediction (w/o-LST-GAT)
+	Cfg EnvConfig
 
 	sim       *traffic.Sim
 	sens      *sensor.Sensor
-	builder   *phantom.Builder
+	perc      *Perception
+	window    [1][]sensor.Frame // the perception input, reused
 	rng       *rand.Rand
-	graph     *phantom.Graph
-	pred      predict.Prediction
 	prevAccel float64
 	steps     int
 	done      bool
 	collided  bool
 	trace     *span.Lane
-
-	// deferPrediction suspends the per-env LST-GAT call: refreshPerception
-	// only rebuilds the graph and flags predPending, and the lock-step
-	// runner (internal/batch) supplies the prediction via ApplyPrediction
-	// from one batched forward over every live environment.
-	deferPrediction bool
-	predPending     bool
-
-	// stateBuf backs State()'s return value so the decision loop reads the
-	// augmented state without allocating; valid until the next State call.
-	stateBuf []float64
+	// episode labels the decision records when the env shares a lane with
+	// other Group members; -1 keeps the lane's episode.
+	episode int
 }
 
 // NewEnv builds an environment. The predictor may be nil, in which case
 // future states are zeros regardless of UsePrediction.
-func NewEnv(cfg EnvConfig, predictor predict.Model, rng *rand.Rand) *Env {
+func NewEnv(cfg EnvConfig, predictor *predict.LSTGAT, rng *rand.Rand) *Env {
+	if !cfg.UsePrediction {
+		predictor = nil
+	}
 	return &Env{
-		Cfg:       cfg,
-		Predictor: predictor,
-		sens:      sensor.New(cfg.Sensor, cfg.Traffic.World.LaneWidth),
-		builder: phantom.NewBuilder(phantom.Config{
-			Lanes:     cfg.Traffic.World.Lanes,
-			LaneWidth: cfg.Traffic.World.LaneWidth,
-			R:         cfg.Sensor.R,
-			Dt:        cfg.Traffic.World.Dt,
-		}),
-		rng: rng,
+		Cfg:     cfg,
+		sens:    sensor.New(cfg.Sensor, cfg.Traffic.World.LaneWidth),
+		perc:    NewPerception(cfg.Phantom(), rl.DefaultStateSpec(), cfg.UsePhantom, predictor),
+		rng:     rng,
+		episode: -1,
 	}
 }
 
@@ -120,10 +112,10 @@ func (e *Env) Sim() *traffic.Sim { return e.sim }
 
 // Graph returns the latest spatial-temporal graph (after Reset or Step).
 // The graph's storage is reused across steps — copy before retaining.
-func (e *Env) Graph() *phantom.Graph { return e.graph }
+func (e *Env) Graph() *phantom.Graph { return e.perc.Graph(0) }
 
 // Prediction returns the latest one-step future-state prediction.
-func (e *Env) Prediction() predict.Prediction { return e.pred }
+func (e *Env) Prediction() predict.Prediction { return e.perc.Prediction(0) }
 
 // Done reports whether the current episode has terminated.
 func (e *Env) Done() bool { return e.done }
@@ -136,28 +128,17 @@ func (e *Env) Collided() bool { return e.collided }
 func (e *Env) Steps() int { return e.steps }
 
 // SetTrace implements span.Traceable: phase spans (env physics, reward
-// computation, sensor scan, phantom construction, LST-GAT inference) and
-// per-step decision records flow onto the lane. Strictly out of band; nil
-// detaches.
+// computation, sensor scan, phantom construction, LST-GAT inference,
+// state assembly) and per-step decision records flow onto the lane.
+// Strictly out of band; nil detaches.
 func (e *Env) SetTrace(l *span.Lane) { e.trace = l }
 
-// attentionReporter is the optional predictor interface the decision
-// records pull LST-GAT attention rows from.
-type attentionReporter interface{ LastAttention() [][]float64 }
-
-// decisionAttention deep-copies the predictor's current attention rows
-// (they alias forward caches that the next Predict overwrites).
-func (e *Env) decisionAttention() [][]float64 {
-	if e.deferPrediction {
-		// Batched forwards mix every environment's attention rows in one
-		// cache; per-env attribution is only available serially.
-		return nil
-	}
-	ar, ok := e.Predictor.(attentionReporter)
-	if !ok {
-		return nil
-	}
-	rows := ar.LastAttention()
+// DecisionAttention returns a deep copy of the LST-GAT attention rows
+// behind the next decision, or nil when no prediction ran. The copy is
+// what quality profiling and decision records consume — the underlying
+// rows alias forward caches the next perception overwrites.
+func (e *Env) DecisionAttention() [][]float64 {
+	rows := e.perc.Attention(0)
 	if rows == nil {
 		return nil
 	}
@@ -168,18 +149,18 @@ func (e *Env) decisionAttention() [][]float64 {
 	return out
 }
 
-// DecisionAttention returns a deep copy of the LST-GAT attention rows
-// behind the next decision (the rows refreshPerception produced for the
-// current perception state), or nil when the environment defers
-// prediction to the batched runner or the predictor reports none. The
-// copy is what quality profiling and decision records consume — the
-// underlying rows alias forward caches the next Predict overwrites.
-func (e *Env) DecisionAttention() [][]float64 { return e.decisionAttention() }
-
 // Reset implements rl.Env: it builds a fresh traffic scene, warms the
 // sensor history with z internally controlled steps, and returns the
 // initial augmented state.
 func (e *Env) Reset() []float64 {
+	e.reset()
+	e.perceive()
+	return e.State()
+}
+
+// reset is Reset without the perception, which a Group runs for all its
+// members at once.
+func (e *Env) reset() {
 	sim, err := traffic.New(e.Cfg.Traffic, e.rng)
 	if err != nil {
 		// Config was validated by the caller; a failure here is a bug.
@@ -214,72 +195,12 @@ func (e *Env) Reset() []float64 {
 		e.sim.Step(world.Maneuver{B: world.LaneKeep, A: a})
 		e.prevAccel = a
 	}
-	e.refreshPerception()
-	return e.State()
 }
 
-// refreshPerception rebuilds the spatial-temporal graph and the future
-// state prediction from the current sensor history.
-func (e *Env) refreshPerception() {
-	pb := e.trace.Start("phantom_build")
-	e.graph = e.builder.BuildInto(e.graph, e.sens.History())
-	if e.graph != nil && !e.Cfg.UsePhantom {
-		zeroPhantoms(e.graph)
-	}
-	pb.End()
-	if e.graph != nil && e.Cfg.UsePrediction && e.Predictor != nil {
-		if e.deferPrediction {
-			// The batched runner owns the forward; State must not be read
-			// before ApplyPrediction delivers it.
-			e.predPending = true
-			return
-		}
-		li := e.trace.Start("lstgat_infer")
-		e.pred = e.Predictor.Predict(e.graph)
-		li.End()
-	} else {
-		e.pred = predict.Prediction{}
-	}
-}
-
-// SetDeferPrediction switches the environment into (or out of) the batched
-// perception mode of the lock-step runner: while on, Reset and Step rebuild
-// the spatial-temporal graph but skip the per-env LST-GAT forward, leaving
-// PredictionPending true until ApplyPrediction supplies the batched result.
-// Attention capture for decision records is skipped too — the batched
-// forward's attention caches span every environment in the batch, so
-// per-decision rows are not attributable. Serial and deferred episodes see
-// bit-identical states as long as the batched forward is the bit-identical
-// PredictBatch over the same graphs.
-func (e *Env) SetDeferPrediction(on bool) {
-	e.deferPrediction = on
-	if !on {
-		e.predPending = false
-	}
-}
-
-// PredictionPending reports whether a deferred LST-GAT prediction is owed
-// for the current perception state.
-func (e *Env) PredictionPending() bool { return e.predPending }
-
-// ApplyPrediction installs a prediction computed out of band (the batched
-// runner's scatter step) exactly where refreshPerception would have stored
-// the serial Predict result.
-func (e *Env) ApplyPrediction(p predict.Prediction) {
-	e.pred = p
-	e.predPending = false
-}
-
-// zeroPhantoms implements the w/o-PVC ablation: every constructed phantom
-// node's features are replaced by zero states.
-func zeroPhantoms(g *phantom.Graph) {
-	for t := range g.Steps {
-		for n := range g.Steps[t] {
-			if g.Steps[t][n][3] == 1 {
-				g.Steps[t][n] = phantom.Feature{}
-			}
-		}
-	}
+// perceive runs the environment's own perception over its sensor history.
+func (e *Env) perceive() {
+	e.window[0] = e.sens.History()
+	e.perc.Run(e.trace, e.window[:])
 }
 
 // State implements the augmented state s₊ = [hᵗ, f̂ᵗ⁺¹] of Equations
@@ -288,8 +209,12 @@ func zeroPhantoms(g *phantom.Graph) {
 // environment and reused: it is valid until the next State, Step, or Reset
 // call (rl.Runner and the replay buffer copy accordingly).
 func (e *Env) State() []float64 {
-	e.stateBuf = AssembleState(e.Spec(), e.graph, e.pred, e.sim.AV.State, e.stateBuf)
-	return e.stateBuf
+	if g := e.perc.Graph(0); e.done || g == nil {
+		// A terminal step perceives nothing new: the last perceived graph
+		// and prediction pair with the post-step AV row.
+		e.perc.states[0] = AssembleState(e.Spec(), g, e.perc.preds[0], e.sim.AV.State, e.perc.states[0])
+	}
+	return e.perc.State(0)
 }
 
 // StepOutcome carries the rich per-step information metric collectors
@@ -322,6 +247,16 @@ func (e *Env) Step(b int, a float64) ([]float64, float64, bool) {
 // hybrid reward. It is the richer form of Step used by rule-based
 // controllers and the metric harness.
 func (e *Env) StepManeuver(m world.Maneuver) StepOutcome {
+	out := e.step(m)
+	if !out.Done {
+		e.perceive()
+	}
+	return out
+}
+
+// step is StepManeuver without the perception of the new state, which a
+// Group runs for all its members at once.
+func (e *Env) step(m world.Maneuver) StepOutcome {
 	if e.done {
 		return StepOutcome{Done: true}
 	}
@@ -336,15 +271,15 @@ func (e *Env) StepManeuver(m world.Maneuver) StepOutcome {
 	if rearBefore != nil {
 		rearVNow = rearBefore.State.V
 	}
-	frontPhantom := e.graph != nil && e.graph.Info[phantom.Front].Kind != phantom.NotMissing
-	rearPhantom := e.graph != nil && e.graph.Info[phantom.Rear].Kind != phantom.NotMissing
+	g := e.perc.Graph(0)
+	frontPhantom := g != nil && g.Info[phantom.Front].Kind != phantom.NotMissing
+	rearPhantom := g != nil && g.Info[phantom.Rear].Kind != phantom.NotMissing
 
 	// The decision's attention evidence must be captured before the step:
-	// refreshPerception below overwrites the predictor's attention caches
-	// with the next state's rows.
+	// the next perception overwrites the attention caches.
 	var attn [][]float64
 	if e.trace.Sampled() {
-		attn = e.decisionAttention()
+		attn = e.DecisionAttention()
 	}
 
 	ph := e.trace.Start("env_physics")
@@ -395,10 +330,9 @@ func (e *Env) StepManeuver(m world.Maneuver) StepOutcome {
 		sc := e.trace.Start("sensor_scan")
 		e.sens.Observe(e.sim.AV.State, e.sim.Vehicles)
 		sc.End()
-		e.refreshPerception()
 	}
 	out.Done = e.done
-	e.trace.Decision(span.Decision{
+	e.trace.DecisionIn(e.episode, span.Decision{
 		Behavior: m.B.String(), Accel: m.A,
 		Reward: out.Reward,
 		Safety: out.Terms.Safety, Eff: out.Terms.Efficiency,

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"head/internal/ngsim"
 	"head/internal/phantom"
 	"head/internal/predict"
 	"head/internal/rl"
@@ -293,35 +292,41 @@ func TestEnvDenseTrafficStability(t *testing.T) {
 }
 
 func TestEnvWithPredictor(t *testing.T) {
-	// A constant predictor exercises the prediction path of the augmented
-	// state: the future rows must carry its (scaled) outputs.
+	// A tiny LST-GAT exercises the prediction path of the augmented state:
+	// the future rows must carry its (scaled) outputs, after Reset and
+	// after every step.
 	cfg := tinyEnvConfig()
-	env := NewEnv(cfg, constPredictor{}, rand.New(rand.NewSource(30)))
-	s := env.Reset()
-	if p := env.Prediction(); p[0][1] != 42 {
-		t.Fatalf("Prediction()[0] = %v, want d_lon 42", p[0])
-	}
+	env := NewEnv(cfg, tinyLSTGAT(), rand.New(rand.NewSource(30)))
+	env.Reset()
 	spec := env.Spec()
-	base := spec.HLen()
-	if got := s[base+1] * lonScale; math.Abs(got-42) > 1e-9 {
-		t.Errorf("future d_lon decodes to %g, want 42", got)
+	check := func(when string) {
+		t.Helper()
+		s, p := env.State(), env.Prediction()
+		if p == (predict.Prediction{}) {
+			t.Fatalf("%s: zero prediction from a live LST-GAT", when)
+		}
+		for i := 0; i < phantom.NumSlots; i++ {
+			base := spec.HLen() + i*spec.FeatDim
+			if s[base+1] != p[i][1]/lonScale {
+				t.Fatalf("%s: future row %d d_lon %g, want %g/lonScale", when, i, s[base+1], p[i][1])
+			}
+		}
+		if len(env.DecisionAttention()) != phantom.NumSlots {
+			t.Fatalf("%s: %d attention rows, want %d", when, len(env.DecisionAttention()), phantom.NumSlots)
+		}
 	}
-	// The prediction path must also refresh after stepping.
+	check("reset")
+	before := env.Prediction()
 	env.Step(int(world.LaneKeep), 0)
-	if p := env.Prediction(); p[0][1] != 42 {
+	check("step")
+	if env.Prediction() == before {
 		t.Error("prediction not refreshed after step")
 	}
 }
 
-// constPredictor returns a fixed future state for every target.
-type constPredictor struct{}
-
-func (constPredictor) Name() string { return "const" }
-func (constPredictor) Predict(*phantom.Graph) predict.Prediction {
-	var p predict.Prediction
-	for i := range p {
-		p[i] = [3]float64{0, 42, -1}
-	}
-	return p
+// tinyLSTGAT is a small, fixed-seed LST-GAT for tests.
+func tinyLSTGAT() *predict.LSTGAT {
+	cfg := predict.DefaultLSTGATConfig()
+	cfg.AttnDim, cfg.GATOut, cfg.HiddenDim = 8, 6, 8
+	return predict.NewLSTGAT(cfg, rand.New(rand.NewSource(3)))
 }
-func (constPredictor) TrainBatch([]*ngsim.Sample) float64 { return 0 }

@@ -44,13 +44,21 @@ func (d *decisionSink) init(w io.Writer) {
 // Decision emits one decision record for the current sampled step. Inside
 // an unsampled step, on a nil lane, or without a decision sink it is a
 // no-op, so call sites need no guards.
-func (l *Lane) Decision(d Decision) {
+func (l *Lane) Decision(d Decision) { l.DecisionIn(-1, d) }
+
+// DecisionIn is Decision filed under episode ep; ep < 0 keeps the lane's
+// episode. A lock-step group steps several episodes inside one episode
+// span, and each member's records carry the member's own episode.
+func (l *Lane) DecisionIn(ep int, d Decision) {
 	if !l.Sampled() || l.t.dec.enc == nil {
 		return
 	}
 	d.Lane = l.id
 	d.Unit = l.name
 	d.Ep = l.ep
+	if ep >= 0 {
+		d.Ep = int32(ep)
+	}
 	d.Step = l.step
 	s := &l.t.dec
 	s.mu.Lock()
