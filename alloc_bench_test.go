@@ -3,10 +3,10 @@ package head_test
 // Zero-allocation guarantees of the compute core. These benches measure the
 // steady-state hot paths after the workspace arenas have warmed up: the
 // LST-GAT forward pass and training step, one greedy BP-DQN action
-// selection, and one full environment step through the perception pipeline
-// (sensor scan → phantom construction → LST-GAT inference → physics →
-// reward). All four must report 0 allocs/op; CI's bench-alloc job enforces
-// the ceiling via cmd/benchcheck.
+// selection, one BP-DQN training step, and one full environment step
+// through the perception pipeline (sensor scan → phantom construction →
+// LST-GAT inference → physics → reward). All five must report 0
+// allocs/op; CI's bench-alloc job enforces the ceiling via cmd/benchcheck.
 
 import (
 	"math/rand"
@@ -56,6 +56,42 @@ func BenchmarkBPDQNSelectAction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.Act(state, false)
+	}
+}
+
+// BenchmarkTrainStep times one BP-DQN training step at batch-envs 1, the
+// width train-rl and headtrain train at: replay sampling and one
+// minibatch update of both networks.
+func BenchmarkTrainStep(b *testing.B) { benchTrainStep(b, 1) }
+
+// benchTrainStep times one BP-DQN training step with the agent set to
+// width environments. The replay buffer is pre-filled so every Observe
+// triggers a gradient step.
+func benchTrainStep(b *testing.B, width int) {
+	env := newBenchEnv(14)
+	cfg := rl.DefaultPDQNConfig()
+	cfg.Warmup = cfg.BatchSize
+	cfg.TrainEvery = 1
+	// Small ring filled to capacity below: a full ring reuses slot storage
+	// on Push, so the steady state the benchmark times is allocation-free
+	// (a growing ring allocates two state slices per Observe by design).
+	cfg.ReplayCap = 512
+	agent := rl.NewBPDQN(cfg, env.Spec(), env.AMax(), 32, rand.New(rand.NewSource(14)))
+	agent.SetBatchEnvs(width)
+	defer agent.Close()
+	state := append([]float64(nil), env.Reset()...)
+	tr := rl.Transition{State: state, Next: state, Reward: 0.1}
+	tr.Action = agent.Act(state, true)
+	// Warm up: fill the replay ring to capacity and run steps so every
+	// scratch buffer (and, above width 1, the pipeline's double buffers)
+	// exists.
+	for i := 0; i < cfg.ReplayCap+8; i++ {
+		agent.Observe(tr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Observe(tr)
 	}
 }
 

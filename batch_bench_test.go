@@ -61,31 +61,5 @@ func BenchmarkBPDQNSelectActionBatch(b *testing.B) {
 
 // BenchmarkTrainStepPrefetch times one BP-DQN training step with the
 // double-buffered replay prefetch pipeline enabled (batch-envs > 1 on the
-// training side). The replay
-// buffer is pre-filled so every Observe triggers a gradient step.
-func BenchmarkTrainStepPrefetch(b *testing.B) {
-	env := newBenchEnv(14)
-	cfg := rl.DefaultPDQNConfig()
-	cfg.Warmup = cfg.BatchSize
-	cfg.TrainEvery = 1
-	// Small ring filled to capacity below: a full ring reuses slot storage
-	// on Push, so the steady state the benchmark times is allocation-free
-	// (a growing ring allocates two state slices per Observe by design).
-	cfg.ReplayCap = 512
-	agent := rl.NewBPDQN(cfg, env.Spec(), env.AMax(), 32, rand.New(rand.NewSource(14)))
-	agent.SetBatchEnvs(batchEnvs)
-	defer agent.Close()
-	state := append([]float64(nil), env.Reset()...)
-	tr := rl.Transition{State: state, Next: state, Reward: 0.1}
-	tr.Action = agent.Act(state, true)
-	// Warm up: fill the replay ring to capacity and run steps so every
-	// scratch buffer and the pipeline's double buffers exist.
-	for i := 0; i < cfg.ReplayCap+8; i++ {
-		agent.Observe(tr)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Observe(tr)
-	}
-}
+// training side); BenchmarkTrainStep is the same step without it.
+func BenchmarkTrainStepPrefetch(b *testing.B) { benchTrainStep(b, batchEnvs) }

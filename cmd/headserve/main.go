@@ -14,7 +14,9 @@
 // (current tail captures), and — with -quality-baseline — /debug/quality
 // (rolling decision-drift status). On SIGINT/SIGTERM the server drains: new
 // decides are refused, in-flight requests are answered, the exemplar ring
-// is flushed, and a run manifest (plus trace.json) is written.
+// is flushed, and a run manifest (plus trace.json) is written. A drain
+// that outlasts the shutdown grace period (obs.ShutdownGrace) logs the
+// requests still in flight, writes the same files and exits 1.
 //
 // Request telemetry is strictly out of band: served decisions are
 // bit-identical with -telemetry on, off, or sampled.
@@ -197,12 +199,18 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The HTTP shutdown and the batcher drain share one grace period. A
+	// drain that runs out of it still writes the manifest and the trace,
+	// then exits non-zero.
 	ctx, cancel := context.WithTimeout(context.Background(), obs.ShutdownGrace)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil && err != http.ErrServerClosed {
 		log.Print("shutdown: ", err)
 	}
-	b.Close()
+	drainErr := b.Drain(ctx)
+	if drainErr != nil {
+		log.Print(drainErr)
+	}
 
 	if *out != "" {
 		man := obs.Manifest{
@@ -240,5 +248,8 @@ func main() {
 			}
 		}
 		log.Printf("manifest written to %s", *out)
+	}
+	if drainErr != nil {
+		os.Exit(1)
 	}
 }

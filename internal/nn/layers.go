@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"head/internal/tensor"
@@ -25,9 +27,19 @@ type Linear struct {
 	In, Out int
 	Weight  *Param
 	Bias    *Param
-	lastX   *tensor.Matrix
-	ws      tensor.Workspace
-	params  []*Param
+	// SampleRows is how many consecutive input rows make one sample; 0
+	// makes the whole batch one sample. Backward adds each sample's
+	// complete weight-gradient sum to Weight.Grad once, samples in row
+	// order, so one Backward over B samples leaves every gradient
+	// bit-identical to B Backward calls over one sample each.
+	SampleRows int
+	// NoInputGrad makes Backward skip the input gradient and return nil,
+	// for a first layer whose input needs none.
+	NoInputGrad bool
+	lastX       *tensor.Matrix
+	xv, dv      tensor.Matrix // one sample's rows of lastX and dy
+	ws          tensor.Workspace
+	params      []*Param
 }
 
 // NewLinear returns a Xavier-initialized in→out fully connected layer.
@@ -60,91 +72,99 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	// dW += xᵀ·dy, db += column sums of dy, dx = dy·Wᵀ. The canonical
-	// weight matrix is already the transposed operand the dot kernel
-	// wants for dy·Wᵀ.
-	tensor.AddMatMulTransADotInto(l.Weight.Grad, l.lastX, dy)
+	// dW += xᵀ·dy one sample at a time, db += column sums of dy row by
+	// row, dx = dy·Wᵀ.
+	if n := l.SampleRows; n <= 0 || n == dy.Rows {
+		tensor.AddMatMulTransADotInto(l.Weight.Grad, l.lastX, dy)
+	} else {
+		if dy.Rows%n != 0 {
+			panic(fmt.Sprintf("nn: Linear backward over %d rows, not a whole number of %d-row samples", dy.Rows, n))
+		}
+		for lo := 0; lo < dy.Rows; lo += n {
+			tensor.AddMatMulTransADotInto(l.Weight.Grad, rowsOf(&l.xv, l.lastX, lo, n), rowsOf(&l.dv, dy, lo, n))
+		}
+	}
 	for i := 0; i < dy.Rows; i++ {
 		row := dy.Row(i)
 		for j, g := range row {
 			l.Bias.Grad.Data[j] += g
 		}
 	}
+	if l.NoInputGrad {
+		return nil
+	}
+	return l.InputGrad(dy)
+}
+
+// InputGrad returns dy·Wᵀ, the gradient with respect to the last
+// Forward's input, and writes no parameter gradient. Backward returns the
+// same bits.
+func (l *Linear) InputGrad(dy *tensor.Matrix) *tensor.Matrix {
+	// The canonical weight matrix is already the transposed operand the
+	// dot kernel wants for dy·Wᵀ.
 	dx := l.ws.Get(dy.Rows, l.In)
 	tensor.MatMulDotInto(dx, dy, l.Weight.W)
 	return dx
 }
 
-// ReLU is the rectified linear activation.
+// rowsOf repoints view at rows [lo, lo+n) of m and returns it.
+func rowsOf(view, m *tensor.Matrix, lo, n int) *tensor.Matrix {
+	view.Rows, view.Cols, view.Data = n, m.Cols, m.Data[lo*m.Cols:(lo+n)*m.Cols]
+	return view
+}
+
+// ReLU is the rectified linear activation, computed in place: Forward
+// writes its output over its input and keeps it, and Backward writes the
+// input gradient over the incoming one. Both buffers must therefore be
+// scratch that nothing reads afterwards. Every ReLU here follows a Linear
+// inside a Sequential, so its input is that Linear's output, and its
+// incoming gradient is the next Linear's input gradient or its network's
+// scratch.
 type ReLU struct {
-	mask *tensor.Matrix
-	ws   tensor.Workspace
+	y *tensor.Matrix
 }
 
 // Params implements Module.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer: y = v where v > 0, else +0 (NaN included).
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	r.ws.Reset()
-	r.mask = r.ws.Get(x.Rows, x.Cols)
-	y := r.ws.Get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			r.mask.Data[i] = 1
-		} else {
-			y.Data[i] = 0
-			r.mask.Data[i] = 0
-		}
+	d := x.Data
+	for i, v := range d {
+		d[i] = math.Float64frombits(math.Float64bits(v) & positive(v))
 	}
-	return y
+	r.y = x
+	return x
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dy where the output is positive, else dy·0,
+// the bits of multiplying dy by a 1/0 mask.
 func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := r.ws.Get(dy.Rows, dy.Cols)
-	tensor.MulInto(dx, dy, r.mask)
-	return dx
+	d := dy.Data
+	y := r.y.Data[:len(d)]
+	for i, g := range d {
+		d[i] = g * math.Float64frombits(positive(y[i])&oneBits)
+	}
+	return dy
+}
+
+// oneBits is the bit pattern of 1.0.
+const oneBits = 0x3FF0000000000000
+
+// positive returns all ones when v > 0 and zero otherwise, NaN included.
+// The conditional integer assignment compiles to a conditional move, so
+// the activations run without sign branches.
+func positive(v float64) uint64 {
+	var m uint64
+	if v > 0 {
+		m = ^uint64(0)
+	}
+	return m
 }
 
 // LeakyReLUSlope is the negative-side slope used by the graph attention
 // mechanism, matching the GAT reference implementation.
 const LeakyReLUSlope = 0.2
-
-// LeakyReLU is the leaky rectified linear activation with slope
-// LeakyReLUSlope on the negative side.
-type LeakyReLU struct {
-	mask *tensor.Matrix
-	ws   tensor.Workspace
-}
-
-// Params implements Module.
-func (r *LeakyReLU) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (r *LeakyReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	r.ws.Reset()
-	r.mask = r.ws.Get(x.Rows, x.Cols)
-	y := r.ws.Get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			r.mask.Data[i] = 1
-		} else {
-			y.Data[i] = LeakyReLUSlope * v
-			r.mask.Data[i] = LeakyReLUSlope
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (r *LeakyReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := r.ws.Get(dy.Rows, dy.Cols)
-	tensor.MulInto(dx, dy, r.mask)
-	return dx
-}
 
 // Tanh is the hyperbolic tangent activation.
 type Tanh struct {
@@ -210,6 +230,25 @@ func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
 func (s *Sequential) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		dy = s.Layers[i].Backward(dy)
+	}
+	return dy
+}
+
+// InputGrad returns the gradient with respect to the last Forward's input
+// and writes no parameter gradient: each Linear runs its InputGrad, and
+// every other layer must be a parameter-free activation. Backward returns
+// the same bits.
+func (s *Sequential) InputGrad(dy *tensor.Matrix) *tensor.Matrix {
+	for i := len(s.Layers) - 1; i >= 0; i-- {
+		l := s.Layers[i]
+		if lin, ok := l.(*Linear); ok {
+			dy = lin.InputGrad(dy)
+			continue
+		}
+		if len(l.Params()) != 0 {
+			panic(fmt.Sprintf("nn: Sequential.InputGrad through layer %d with parameters", i))
+		}
+		dy = l.Backward(dy)
 	}
 	return dy
 }

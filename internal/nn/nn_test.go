@@ -68,42 +68,141 @@ func TestLinearGradCheck(t *testing.T) {
 }
 
 func TestActivations(t *testing.T) {
-	x := tensor.FromSlice(1, 3, []float64{-2, 0, 3})
-	r := (&ReLU{}).Forward(x)
+	// ReLU computes in place, so each layer call gets its own input.
+	input := func() *tensor.Matrix { return tensor.FromSlice(1, 3, []float64{-2, 0, 3}) }
+	r := (&ReLU{}).Forward(input())
 	if !tensor.Equal(r, tensor.FromSlice(1, 3, []float64{0, 0, 3}), 0) {
 		t.Errorf("ReLU = %v", r)
 	}
-	lr := (&LeakyReLU{}).Forward(x)
-	if !tensor.Equal(lr, tensor.FromSlice(1, 3, []float64{-0.4, 0, 3}), 1e-12) {
-		t.Errorf("LeakyReLU = %v", lr)
-	}
-	th := (&Tanh{}).Forward(x)
+	th := (&Tanh{}).Forward(input())
 	if math.Abs(th.At(0, 2)-math.Tanh(3)) > 1e-12 {
 		t.Errorf("Tanh = %v", th)
 	}
 }
 
 func TestActivationBackward(t *testing.T) {
-	x := tensor.FromSlice(1, 4, []float64{-2, -0.5, 0.5, 3})
-	dy := tensor.FromSlice(1, 4, []float64{1, 1, 1, 1})
+	// ReLU computes in place, so each layer call gets its own input and
+	// incoming gradient.
+	input := func() *tensor.Matrix { return tensor.FromSlice(1, 4, []float64{-2, -0.5, 0.5, 3}) }
+	ones := func() *tensor.Matrix { return tensor.FromSlice(1, 4, []float64{1, 1, 1, 1}) }
 	relu := &ReLU{}
-	relu.Forward(x)
-	if got := relu.Backward(dy); !tensor.Equal(got, tensor.FromSlice(1, 4, []float64{0, 0, 1, 1}), 0) {
+	relu.Forward(input())
+	if got := relu.Backward(ones()); !tensor.Equal(got, tensor.FromSlice(1, 4, []float64{0, 0, 1, 1}), 0) {
 		t.Errorf("ReLU backward = %v", got)
 	}
-	lrelu := &LeakyReLU{}
-	lrelu.Forward(x)
-	if got := lrelu.Backward(dy); !tensor.Equal(got, tensor.FromSlice(1, 4, []float64{0.2, 0.2, 1, 1}), 1e-12) {
-		t.Errorf("LeakyReLU backward = %v", got)
-	}
+	x := input()
 	tanh := &Tanh{}
 	tanh.Forward(x)
-	got := tanh.Backward(dy)
+	got := tanh.Backward(ones())
 	for j := 0; j < 4; j++ {
 		want := 1 - math.Pow(math.Tanh(x.At(0, j)), 2)
 		if math.Abs(got.At(0, j)-want) > 1e-12 {
 			t.Errorf("Tanh backward[%d] = %g, want %g", j, got.At(0, j), want)
 		}
+	}
+}
+
+// TestReLUInPlaceBits pins the in-place ReLU to the formulas of the
+// mask-based one it replaced, bit for bit: y = v if v > 0 else +0, and
+// dx = dy·mask with mask 1 where v > 0 and 0 elsewhere. Inputs and
+// gradients cover ±0, ±Inf, NaN and subnormals, and both passes must
+// return the matrix they were given.
+func TestReLUInPlaceBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	specials := []float64{0, negZero, math.Inf(1), math.Inf(-1), math.NaN(), sub, -sub, 1e-310, -1e-310, 1.5, -2.5}
+	n := len(specials)
+	vs := make([]float64, 0, n*n)
+	gs := make([]float64, 0, n*n)
+	for _, v := range specials {
+		for _, g := range specials {
+			vs = append(vs, v)
+			gs = append(gs, g)
+		}
+	}
+	x := tensor.FromSlice(n, n, append([]float64(nil), vs...))
+	dy := tensor.FromSlice(n, n, append([]float64(nil), gs...))
+	r := &ReLU{}
+	y := r.Forward(x)
+	if y != x {
+		t.Fatal("ReLU.Forward returned a matrix other than its input")
+	}
+	dx := r.Backward(dy)
+	if dx != dy {
+		t.Fatal("ReLU.Backward returned a matrix other than its incoming gradient")
+	}
+	for i, v := range vs {
+		wantY, mask := 0.0, 0.0
+		if v > 0 {
+			wantY, mask = v, 1
+		}
+		wantDx := gs[i] * mask
+		if math.Float64bits(y.Data[i]) != math.Float64bits(wantY) {
+			t.Errorf("ReLU(%v) = %v (bits %x), want %v", v, y.Data[i], math.Float64bits(y.Data[i]), wantY)
+		}
+		if math.Float64bits(dx.Data[i]) != math.Float64bits(wantDx) {
+			t.Errorf("ReLU backward at v=%v, dy=%v = %v (bits %x), want %v (bits %x)",
+				v, gs[i], dx.Data[i], math.Float64bits(dx.Data[i]), wantDx, math.Float64bits(wantDx))
+		}
+	}
+}
+
+// TestLinearPerSampleGrad pins nn.Linear's per-sample gradient rule: with
+// n rows per sample, one Backward over B·n rows must leave Weight.Grad,
+// Bias.Grad and the input gradient bit-identical to B Backward calls over
+// the n-row blocks, in order. Inputs and gradients hold exact zeros and
+// −0, so the +0 start of every per-sample sum shows.
+func TestLinearPerSampleGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	negZero := math.Copysign(0, -1)
+	plant := func(m *tensor.Matrix) {
+		fillRand(m, rng)
+		for i := range m.Data {
+			switch rng.Intn(5) {
+			case 0:
+				m.Data[i] = 0
+			case 1:
+				m.Data[i] = negZero
+			}
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		in, out := 1+rng.Intn(9), 1+rng.Intn(14)
+		B, n := 1+rng.Intn(9), 1+rng.Intn(8)
+		if trial%4 == 0 {
+			n = 1
+		}
+		x := tensor.New(B*n, in)
+		plant(x)
+		dy := tensor.New(B*n, out)
+		plant(dy)
+		startW := tensor.New(in, out)
+		plant(startW)
+		startB := tensor.New(1, out)
+		plant(startB)
+
+		mk := func() *Linear {
+			l := NewLinear("l", in, out, rand.New(rand.NewSource(int64(trial))))
+			l.SampleRows = n
+			copy(l.Weight.Grad.Data, startW.Data)
+			copy(l.Bias.Grad.Data, startB.Data)
+			return l
+		}
+		whole := mk()
+		whole.Forward(x)
+		dxWhole := cloneMat(whole.Backward(dy))
+
+		blocks := mk()
+		dxBlocks := tensor.New(B*n, in)
+		for e := 0; e < B; e++ {
+			xe := tensor.FromSlice(n, in, x.Data[e*n*in:(e+1)*n*in])
+			de := tensor.FromSlice(n, out, dy.Data[e*n*out:(e+1)*n*out])
+			blocks.Forward(xe)
+			copy(dxBlocks.Data[e*n*in:], blocks.Backward(de).Data)
+		}
+		matBitsEqual(t, "Weight.Grad", blocks.Weight.Grad, whole.Weight.Grad)
+		matBitsEqual(t, "Bias.Grad", blocks.Bias.Grad, whole.Bias.Grad)
+		matBitsEqual(t, "input gradient", dxBlocks, dxWhole)
 	}
 }
 

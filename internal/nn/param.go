@@ -1,6 +1,6 @@
 // Package nn is a small, dependency-free neural network library with
 // hand-written backpropagation. It provides exactly the building blocks the
-// HEAD paper's models need: fully connected layers, ReLU/LeakyReLU/Tanh
+// HEAD paper's models need: fully connected layers, ReLU/Tanh
 // activations, an LSTM with backpropagation through time, the graph
 // attention layer of Equations (10)–(11), mean squared error, SGD and Adam
 // optimizers, gradient clipping, and soft target-network updates.

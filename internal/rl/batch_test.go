@@ -202,3 +202,53 @@ func TestNetsForwardRowBitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestQNetActionGrad pins the actor pass's critic backward: for both Q
+// network families, ActionGrad must return the bits Backward returns for
+// the same forward and gradient, and leave every parameter gradient
+// untouched.
+func TestQNetActionGrad(t *testing.T) {
+	spec := DefaultStateSpec()
+	rng := rand.New(rand.NewSource(93))
+	qnets := map[string]func() QNet{
+		"BranchedQ": func() QNet { return NewBranchedQ(spec, 8, rand.New(rand.NewSource(94))) },
+		"SharedQ":   func() QNet { return NewSharedQ(spec, 8, rand.New(rand.NewSource(94))) },
+	}
+	for name, mk := range qnets {
+		for trial := 0; trial < 6; trial++ {
+			B := 1 + rng.Intn(9)
+			states := randStates(spec, B, rng)
+			xout := tensor.New(B, NumBehaviors)
+			xout.RandUniform(rng, 3)
+			d := tensor.New(B, NumBehaviors)
+			d.RandUniform(rng, 1)
+
+			q := mk()
+			for _, p := range q.Params() {
+				p.Grad.RandUniform(rng, 1)
+			}
+			before := make([][]float64, 0, len(q.Params()))
+			for _, p := range q.Params() {
+				before = append(before, append([]float64(nil), p.Grad.Data...))
+			}
+			q.Forward(states, xout)
+			got := q.ActionGrad(d.Clone()).Clone()
+			for i, p := range q.Params() {
+				for j, g := range p.Grad.Data {
+					if math.Float64bits(g) != math.Float64bits(before[i][j]) {
+						t.Fatalf("%s trial %d: ActionGrad wrote %s.Grad[%d]", name, trial, p.Name, j)
+					}
+				}
+			}
+
+			ref := mk()
+			ref.Forward(states, xout)
+			want := ref.Backward(d.Clone())
+			for j, w := range want.Data {
+				if math.Float64bits(w) != math.Float64bits(got.Data[j]) {
+					t.Fatalf("%s trial %d: ActionGrad[%d] = %v, Backward gives %v", name, trial, j, got.Data[j], w)
+				}
+			}
+		}
+	}
+}

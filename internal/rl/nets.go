@@ -18,7 +18,9 @@ type XNet interface {
 	// e is bit-identical to the one-state forward of states[e].
 	Forward(states [][]float64) *tensor.Matrix
 	// Backward accumulates parameter gradients from the loss gradient
-	// with respect to the last Forward's x_out.
+	// with respect to the last Forward's x_out. Each state's gradients
+	// are added as their own sums, in row order, so a B-row Backward is
+	// bit-identical to B one-state Backwards.
 	Backward(d *tensor.Matrix)
 }
 
@@ -31,9 +33,13 @@ type QNet interface {
 	// their B×NumBehaviors action-parameter rows. Rows are independent,
 	// as for XNet.
 	Forward(states [][]float64, xout *tensor.Matrix) *tensor.Matrix
-	// Backward accumulates parameter gradients and returns the gradient
-	// with respect to x_out (needed for the actor loss L3).
+	// Backward accumulates parameter gradients, per state as for XNet,
+	// and returns the gradient with respect to x_out.
 	Backward(d *tensor.Matrix) *tensor.Matrix
+	// ActionGrad returns the gradient with respect to the last Forward's
+	// x_out, the one the actor loss L3 needs, and writes no parameter
+	// gradient. Backward returns the same bits.
+	ActionGrad(d *tensor.Matrix) *tensor.Matrix
 }
 
 // The returned matrices of both networks live in the network's workspace
@@ -63,19 +69,31 @@ func gatherSplit(spec StateSpec, states [][]float64, hAll, fAll *tensor.Matrix) 
 	}
 }
 
+// sampleLinear is nn.NewLinear for a layer that sees rows consecutive
+// input rows per state, so that one Backward over a chunk of states adds
+// each state's weight gradient as its own sum (nn.Linear.SampleRows).
+func sampleLinear(name string, in, out, rows int, rng *rand.Rand) *nn.Linear {
+	l := nn.NewLinear(name, in, out, rng)
+	l.SampleRows = rows
+	return l
+}
+
 // branch is the per-vehicle two-layer ReLU column reducer of Figure 6: it
 // maps each state's N×FeatDim block to a 1×N vector by applying a shared
-// FeatDim→D→1 MLP to every row.
+// FeatDim→D→1 MLP to every row. Its input is state data, which needs no
+// gradient, so its first layer forms none.
 type branch struct {
 	seq         *nn.Sequential
 	view, dview tensor.Matrix // reshape headers
 }
 
-func newBranch(name string, in, hidden int, rng *rand.Rand) *branch {
+func newBranch(name string, in, hidden, n int, rng *rand.Rand) *branch {
+	l1 := sampleLinear(name+".l1", in, hidden, n, rng)
+	l1.NoInputGrad = true
 	return &branch{seq: nn.NewSequential(
-		nn.NewLinear(name+".l1", in, hidden, rng),
+		l1,
 		&nn.ReLU{},
-		nn.NewLinear(name+".l2", hidden, 1, rng),
+		sampleLinear(name+".l2", hidden, 1, n, rng),
 		&nn.ReLU{},
 	)}
 }
@@ -107,9 +125,11 @@ func (b *branch) forward(stacked *tensor.Matrix, batch, n int) *tensor.Matrix {
 }
 
 // backward reshapes the batch×n gradient of forward's view back into the
-// (batch·n)×1 column the MLP produced. d must be a contiguous matrix.
-func (b *branch) backward(d *tensor.Matrix) *tensor.Matrix {
-	return b.seq.Backward(viewInto(&b.dview, d.Rows*d.Cols, 1, d.Data))
+// (batch·n)×1 column the MLP produced and accumulates the parameter
+// gradients. d must be a contiguous matrix; the in-place ReLU overwrites
+// it.
+func (b *branch) backward(d *tensor.Matrix) {
+	b.seq.Backward(viewInto(&b.dview, d.Rows*d.Cols, 1, d.Data))
 }
 
 // BranchedX is BP-DQN's x network (Figure 6, left): separate computational
@@ -130,9 +150,9 @@ func NewBranchedX(spec StateSpec, d int, aMax float64, rng *rand.Rand) *Branched
 	x := &BranchedX{
 		spec:    spec,
 		aMax:    aMax,
-		hBranch: newBranch("bpx.h", spec.FeatDim, d, rng),
-		fBranch: newBranch("bpx.f", spec.FeatDim, d, rng),
-		merge:   nn.NewLinear("bpx.merge", spec.NumH+spec.NumF, NumBehaviors, rng),
+		hBranch: newBranch("bpx.h", spec.FeatDim, d, spec.NumH, rng),
+		fBranch: newBranch("bpx.f", spec.FeatDim, d, spec.NumF, rng),
+		merge:   sampleLinear("bpx.merge", spec.NumH+spec.NumF, NumBehaviors, 1, rng),
 		tanh:    &nn.Tanh{},
 	}
 	x.params = concatParams(x.hBranch.Params(), x.fBranch.Params(), x.merge.Params())
@@ -196,15 +216,15 @@ type BranchedQ struct {
 func NewBranchedQ(spec StateSpec, d int, rng *rand.Rand) *BranchedQ {
 	q := &BranchedQ{
 		spec:    spec,
-		hBranch: newBranch("bpq.h", spec.FeatDim, d, rng),
-		fBranch: newBranch("bpq.f", spec.FeatDim, d, rng),
+		hBranch: newBranch("bpq.h", spec.FeatDim, d, spec.NumH, rng),
+		fBranch: newBranch("bpq.f", spec.FeatDim, d, spec.NumF, rng),
 		xBranch: nn.NewSequential(
-			nn.NewLinear("bpq.x1", NumBehaviors, d, rng),
+			sampleLinear("bpq.x1", NumBehaviors, d, 1, rng),
 			&nn.ReLU{},
-			nn.NewLinear("bpq.x2", d, NumBehaviors, rng),
+			sampleLinear("bpq.x2", d, NumBehaviors, 1, rng),
 			&nn.ReLU{},
 		),
-		merge: nn.NewLinear("bpq.merge", spec.NumH+spec.NumF+NumBehaviors, NumBehaviors, rng),
+		merge: sampleLinear("bpq.merge", spec.NumH+spec.NumF+NumBehaviors, NumBehaviors, 1, rng),
 	}
 	q.params = concatParams(q.hBranch.Params(), q.fBranch.Params(), q.xBranch.Params(), q.merge.Params())
 	return q
@@ -243,11 +263,23 @@ func (q *BranchedQ) Backward(d *tensor.Matrix) *tensor.Matrix {
 	tensor.SliceColsInto(dh, dcat, 0)
 	df := q.ws.Get(d.Rows, q.spec.NumF)
 	tensor.SliceColsInto(df, dcat, q.spec.NumH)
-	dx := q.ws.Get(d.Rows, NumBehaviors)
-	tensor.SliceColsInto(dx, dcat, q.spec.NumH+q.spec.NumF)
 	q.hBranch.backward(dh)
 	q.fBranch.backward(df)
-	return q.xBranch.Backward(dx)
+	return q.xBranch.Backward(q.dxBranch(d.Rows, dcat))
+}
+
+// ActionGrad implements QNet: the merge's input gradient, then the x
+// branch's.
+func (q *BranchedQ) ActionGrad(d *tensor.Matrix) *tensor.Matrix {
+	return q.xBranch.InputGrad(q.dxBranch(d.Rows, q.merge.InputGrad(d)))
+}
+
+// dxBranch slices the x branch's columns out of the merge's input
+// gradient.
+func (q *BranchedQ) dxBranch(rows int, dcat *tensor.Matrix) *tensor.Matrix {
+	dx := q.ws.Get(rows, NumBehaviors)
+	tensor.SliceColsInto(dx, dcat, q.spec.NumH+q.spec.NumF)
+	return dx
 }
 
 // SharedX is vanilla P-DQN's x network: one MLP over the flattened state,
@@ -261,17 +293,20 @@ type SharedX struct {
 	ws   tensor.Workspace
 }
 
-// NewSharedX builds the single-branch x network with hidden width h.
+// NewSharedX builds the single-branch x network with hidden width h. Its
+// input is state data, so its first layer forms no input gradient.
 func NewSharedX(spec StateSpec, h int, aMax float64, rng *rand.Rand) *SharedX {
+	l1 := sampleLinear("px.l1", spec.Dim(), h, 1, rng)
+	l1.NoInputGrad = true
 	return &SharedX{
 		spec: spec,
 		aMax: aMax,
 		mlp: nn.NewSequential(
-			nn.NewLinear("px.l1", spec.Dim(), h, rng),
+			l1,
 			&nn.ReLU{},
-			nn.NewLinear("px.l2", h, h, rng),
+			sampleLinear("px.l2", h, h, 1, rng),
 			&nn.ReLU{},
-			nn.NewLinear("px.l3", h, NumBehaviors, rng),
+			sampleLinear("px.l3", h, NumBehaviors, 1, rng),
 		),
 		tanh: &nn.Tanh{},
 	}
@@ -317,11 +352,11 @@ func NewSharedQ(spec StateSpec, h int, rng *rand.Rand) *SharedQ {
 	return &SharedQ{
 		spec: spec,
 		mlp: nn.NewSequential(
-			nn.NewLinear("pq.l1", spec.Dim()+NumBehaviors, h, rng),
+			sampleLinear("pq.l1", spec.Dim()+NumBehaviors, h, 1, rng),
 			&nn.ReLU{},
-			nn.NewLinear("pq.l2", h, h, rng),
+			sampleLinear("pq.l2", h, h, 1, rng),
 			&nn.ReLU{},
-			nn.NewLinear("pq.l3", h, NumBehaviors, rng),
+			sampleLinear("pq.l3", h, NumBehaviors, 1, rng),
 		),
 	}
 }
@@ -344,7 +379,16 @@ func (q *SharedQ) Forward(states [][]float64, xout *tensor.Matrix) *tensor.Matri
 
 // Backward implements QNet.
 func (q *SharedQ) Backward(d *tensor.Matrix) *tensor.Matrix {
-	din := q.mlp.Backward(d)
+	return q.dxCols(q.mlp.Backward(d))
+}
+
+// ActionGrad implements QNet: the MLP's input gradient.
+func (q *SharedQ) ActionGrad(d *tensor.Matrix) *tensor.Matrix {
+	return q.dxCols(q.mlp.InputGrad(d))
+}
+
+// dxCols slices the x_out columns out of the MLP's input gradient.
+func (q *SharedQ) dxCols(din *tensor.Matrix) *tensor.Matrix {
 	dx := q.ws.Get(din.Rows, NumBehaviors)
 	tensor.SliceColsInto(dx, din, din.Cols-NumBehaviors)
 	return dx

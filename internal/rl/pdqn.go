@@ -74,19 +74,20 @@ type PDQN struct {
 	lastLoss   float64
 	trace      *span.Lane
 
-	// steady-state scratch: the one-state batch that Act and the
-	// per-sample training loops pass to the networks, the action-parameter
-	// buffer returned via Action.Raw (valid until the next Act; replay Push
-	// deep-copies it), cached matrix headers, and train-step batch storage.
+	// steady-state scratch: the one-state batch that Act passes to the
+	// networks, the action-parameter buffer returned via Action.Raw (valid
+	// until the next Act; replay Push deep-copies it), cached matrix
+	// headers, train-step batch storage, one chunk's states, and a
+	// workspace for its action parameters and loss gradient.
 	one        [1][]float64
 	rawBuf     []float64
 	rawMat     tensor.Matrix
-	sampleRaw  tensor.Matrix
-	dScratch   *tensor.Matrix
 	batch      []Transition
 	perIdxs    []int
 	perWeights []float64
 	tdErrs     []float64
+	states     [][]float64
+	ws         tensor.Workspace
 
 	// batched execution engine state: batch width (≤ 1 disables the
 	// replay prefetch), the action-parameter arena backing
@@ -261,7 +262,9 @@ func (p *PDQN) phase() (trainQ, trainX bool) {
 }
 
 // trainStep performs one minibatch update of L2 (Equation (22)) and L3
-// (Equation (23)), then soft-updates the target networks.
+// (Equation (23)), then soft-updates the target networks. The TD targets,
+// the critic pass and the actor pass each run one forward and one backward
+// per network over chunks of trainChunk transitions.
 func (p *PDQN) trainStep() {
 	var batch []Transition
 	var perIdxs []int
@@ -306,60 +309,91 @@ func (p *PDQN) trainStep() {
 	defer mu.End()
 	trainQ, trainX := p.phase()
 	p.trainSteps++
-
-	d := p.dScratch
-	if d == nil {
-		d = tensor.New(1, NumBehaviors)
-		p.dScratch = d
-	}
-
 	if trainQ {
-		nn.ZeroGrads(p.qn)
-		p.tdErrs = growFloats(p.tdErrs, len(batch))
-		tdErrs := p.tdErrs
-		ys := p.targetValues(batch)
-		sqErr := 0.0
-		for k, tr := range batch {
-			y := ys[k]
-			raw := viewInto(&p.sampleRaw, 1, NumBehaviors, tr.Action.Raw)
-			p.one[0] = tr.State
-			qv := p.qn.Forward(p.one[:], raw)
-			diff := qv.At(0, tr.Action.B) - y
+		p.trainCritic(batch, perIdxs, perWeights)
+	}
+	if trainX {
+		p.trainActor(batch)
+	}
+	nn.SoftUpdate(p.xT, p.x, p.cfg.Tau)
+	nn.SoftUpdate(p.qT, p.qn, p.cfg.Tau)
+}
+
+// trainChunk is how many transitions of a minibatch pass through a
+// network in one forward and one backward. The chunk-shaped workspaces
+// grow with it: a Record-shape agent holds 338 KB of train-step scratch
+// at 8 rows, 668 KB at 16 and 2.2 MB at 64, and 16 rows were no faster.
+const trainChunk = 8
+
+// chunkOf returns the chunk of batch that starts at lo: trainChunk
+// transitions, or fewer at the end of a minibatch that is not a multiple
+// of trainChunk.
+func chunkOf(batch []Transition, lo int) []Transition {
+	return batch[lo:min(lo+trainChunk, len(batch))]
+}
+
+// chunkStates gathers the State of every transition of chunk.
+func (p *PDQN) chunkStates(chunk []Transition) [][]float64 {
+	p.states = p.states[:0]
+	for _, tr := range chunk {
+		p.states = append(p.states, tr.State)
+	}
+	return p.states
+}
+
+// trainCritic is one minibatch step on L2 (Equation (22)), chunk by chunk.
+// Each chunk's Backward adds its states' gradients one state at a time in
+// minibatch order, so the update is bit-identical to one Backward per
+// transition.
+func (p *PDQN) trainCritic(batch []Transition, perIdxs []int, perWeights []float64) {
+	nn.ZeroGrads(p.qn)
+	p.tdErrs = growFloats(p.tdErrs, len(batch))
+	tdErrs := p.tdErrs
+	ys := p.targetValues(batch)
+	sqErr := 0.0
+	for lo := 0; lo < len(batch); lo += trainChunk {
+		chunk := chunkOf(batch, lo)
+		p.ws.Reset()
+		raw := p.ws.Get(len(chunk), NumBehaviors)
+		for r, tr := range chunk {
+			copy(raw.Row(r), tr.Action.Raw)
+		}
+		qv := p.qn.Forward(p.chunkStates(chunk), raw)
+		d := p.ws.GetZero(len(chunk), NumBehaviors)
+		for r, tr := range chunk {
+			k := lo + r
+			diff := qv.At(r, tr.Action.B) - ys[k]
 			tdErrs[k] = diff
 			sqErr += diff * diff
 			w := 1.0
 			if perWeights != nil {
 				w = perWeights[k]
 			}
-			d.Fill(0)
-			d.Set(0, tr.Action.B, w*diff/float64(len(batch)))
-			p.qn.Backward(d)
+			d.Set(r, tr.Action.B, w*diff/float64(len(batch)))
 		}
-		nn.ClipGradNorm(p.qn, p.cfg.ClipNorm)
-		p.optQ.Step(p.qn)
-		p.lastLoss = sqErr / float64(len(batch))
-		if p.bufP != nil {
-			p.bufP.UpdatePriorities(perIdxs, tdErrs)
-		}
+		p.qn.Backward(d)
 	}
-
-	if trainX {
-		nn.ZeroGrads(p.x)
-		nn.ZeroGrads(p.qn)
-		for _, tr := range batch {
-			p.one[0] = tr.State
-			xout := p.x.Forward(p.one[:])
-			p.qn.Forward(p.one[:], xout)
-			// L3 = −Σ_b Q_b ⇒ dL3/dQ = −1 for every output.
-			d.Fill(-1 / float64(len(batch)))
-			dx := p.qn.Backward(d)
-			p.x.Backward(dx)
-		}
-		nn.ClipGradNorm(p.x, p.cfg.ClipNorm)
-		p.optX.Step(p.x)
-		nn.ZeroGrads(p.qn) // discard critic grads from the actor pass
+	nn.ClipGradNorm(p.qn, p.cfg.ClipNorm)
+	p.optQ.Step(p.qn)
+	p.lastLoss = sqErr / float64(len(batch))
+	if p.bufP != nil {
+		p.bufP.UpdatePriorities(perIdxs, tdErrs)
 	}
+}
 
-	nn.SoftUpdate(p.xT, p.x, p.cfg.Tau)
-	nn.SoftUpdate(p.qT, p.qn, p.cfg.Tau)
+// trainActor is one minibatch step on L3 (Equation (23)), chunk by chunk.
+// The critic only passes ∂Q/∂x_out back and keeps its gradients.
+func (p *PDQN) trainActor(batch []Transition) {
+	nn.ZeroGrads(p.x)
+	for lo := 0; lo < len(batch); lo += trainChunk {
+		states := p.chunkStates(chunkOf(batch, lo))
+		p.qn.Forward(states, p.x.Forward(states))
+		// L3 = −Σ_b Q_b ⇒ dL3/dQ = −1 for every output.
+		p.ws.Reset()
+		d := p.ws.Get(len(states), NumBehaviors)
+		d.Fill(-1 / float64(len(batch)))
+		p.x.Backward(p.qn.ActionGrad(d))
+	}
+	nn.ClipGradNorm(p.x, p.cfg.ClipNorm)
+	p.optX.Step(p.x)
 }

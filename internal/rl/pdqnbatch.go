@@ -84,22 +84,31 @@ func (p *PDQN) Close() {
 }
 
 // targetValues fills p.ys with the TD targets y = r + γ·max_b Q_T of
-// Equation (22) for the whole minibatch. Each non-terminal next state runs
-// through the target networks as a batch of one: one forward over all of
-// them would give the same floats, but their count varies per minibatch and
-// every distinct row count leaves its own set of workspace buffers behind,
-// which multiplies the agent's resident memory during training.
+// Equation (22) for the whole minibatch, one forward through the target
+// networks per chunk of trainChunk transitions. A terminal row forwards
+// its own State in place of Next and its output is ignored, so each
+// forward has the chunk's row count and the workspaces keep one shape.
 func (p *PDQN) targetValues(batch []Transition) []float64 {
 	p.ys = growFloats(p.ys, len(batch))
 	ys := p.ys
-	for k, tr := range batch {
-		y := tr.Reward
-		if !tr.Done {
-			p.one[0] = tr.Next
-			qN := p.qT.Forward(p.one[:], p.xT.Forward(p.one[:]))
-			y += p.cfg.Gamma * qN.At(0, qN.ArgmaxRow(0))
+	for lo := 0; lo < len(batch); lo += trainChunk {
+		chunk := chunkOf(batch, lo)
+		p.states = p.states[:0]
+		for _, tr := range chunk {
+			s := tr.Next
+			if tr.Done {
+				s = tr.State
+			}
+			p.states = append(p.states, s)
 		}
-		ys[k] = y
+		qN := p.qT.Forward(p.states, p.xT.Forward(p.states))
+		for r, tr := range chunk {
+			y := tr.Reward
+			if !tr.Done {
+				y += p.cfg.Gamma * qN.At(r, qN.ArgmaxRow(r))
+			}
+			ys[lo+r] = y
+		}
 	}
 	return ys
 }

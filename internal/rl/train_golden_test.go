@@ -113,12 +113,16 @@ func TestTrainGolden(t *testing.T) {
 	spec, aMax := DefaultStateSpec(), 3.0
 	per := goldenAgentConfig()
 	per.PER = true
+	// Minibatches of 13 train in one whole chunk and one short one.
+	batch13 := goldenAgentConfig()
+	batch13.BatchSize = 13
 	cases := []struct {
 		name  string
 		agent func(rng *rand.Rand) Agent
 	}{
 		{"BP-DQN", func(rng *rand.Rand) Agent { return NewBPDQN(goldenAgentConfig(), spec, aMax, hidden, rng) }},
 		{"BP-DQN/PER", func(rng *rand.Rand) Agent { return NewBPDQN(per, spec, aMax, hidden, rng) }},
+		{"BP-DQN/Batch13", func(rng *rand.Rand) Agent { return NewBPDQN(batch13, spec, aMax, hidden, rng) }},
 		{"BP-DQN/BatchEnvs8", func(rng *rand.Rand) Agent {
 			a := NewBPDQN(goldenAgentConfig(), spec, aMax, hidden, rng)
 			a.SetBatchEnvs(8)
@@ -127,6 +131,7 @@ func TestTrainGolden(t *testing.T) {
 		}},
 		{"P-DQN", func(rng *rand.Rand) Agent { return NewVanillaPDQN(goldenAgentConfig(), spec, aMax, hidden, rng) }},
 		{"P-QP", func(rng *rand.Rand) Agent { return NewPQP(goldenAgentConfig(), spec, aMax, hidden, rng) }},
+		{"P-QP/Batch13", func(rng *rand.Rand) Agent { return NewPQP(batch13, spec, aMax, hidden, rng) }},
 		{"P-DDPG", func(rng *rand.Rand) Agent { return NewPDDPG(goldenAgentConfig(), spec, aMax, hidden, rng) }},
 	}
 	got := trainGolden{GoArch: runtime.GOARCH, SHA256: map[string]string{}}

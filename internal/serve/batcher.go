@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"head/internal/obs"
@@ -81,10 +82,10 @@ type pending struct {
 // request, takes whatever else is already queued (up to MaxBatch) without
 // waiting, and answers the batch through one batched forward pass. No
 // replica sits idle while a request waits; batches form only when
-// requests pile up behind busy replicas. Shutdown is ordered: Close stops
-// new admissions, waits for every in-flight request to receive its
-// response, then joins the workers — no request is ever dropped without a
-// reply.
+// requests pile up behind busy replicas. Shutdown is ordered: Drain (or
+// Close) stops new admissions, waits for every in-flight request to
+// receive its response, then joins the workers — no request is ever
+// dropped without a reply.
 type Batcher struct {
 	cfg    BatcherConfig
 	submit chan *pending
@@ -92,7 +93,9 @@ type Batcher struct {
 	mu       sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup
+	nflight  atomic.Int64 // admitted Submits that have not returned
 	workers  sync.WaitGroup
+	drained  chan struct{} // closed once the ordered shutdown completes
 
 	mRequests  *obs.Counter
 	mErrors    *obs.Counter
@@ -107,8 +110,9 @@ type Batcher struct {
 func NewBatcher(cfg BatcherConfig, newReplica func() Decider) *Batcher {
 	cfg = cfg.withDefaults()
 	b := &Batcher{
-		cfg:    cfg,
-		submit: make(chan *pending, cfg.Queue),
+		cfg:     cfg,
+		submit:  make(chan *pending, cfg.Queue),
+		drained: make(chan struct{}),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		b.mRequests = reg.Counter("serve.requests")
@@ -139,8 +143,12 @@ func (b *Batcher) Submit(ctx context.Context, o *Observation) (Result, error) {
 		return Result{}, ErrClosed
 	}
 	b.inflight.Add(1)
+	b.nflight.Add(1)
 	b.mu.Unlock()
-	defer b.inflight.Done()
+	defer func() {
+		b.nflight.Add(-1)
+		b.inflight.Done()
+	}()
 
 	p := &pending{obs: o, enq: time.Now(), ch: make(chan Result, 1)}
 	select {
@@ -173,24 +181,38 @@ func (b *Batcher) observe(r Result) {
 	b.mBatchSize.Observe(float64(r.BatchSize))
 }
 
-// Close drains and stops the batcher in order: new Submits are refused,
+// Drain stops the batcher in order: new Submits are refused at once,
 // every already-admitted request runs to completion and receives its
-// response, then the replica workers exit. Idempotent.
-func (b *Batcher) Close() {
+// response, then the replica workers exit. It returns nil once that is
+// done. If ctx ends first it returns an error that wraps ctx.Err() and
+// counts the requests still in flight; the shutdown then goes on in the
+// background, and a later Drain or Close waits for it again.
+func (b *Batcher) Drain(ctx context.Context) error {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
+	if !b.closed {
+		b.closed = true
+		go func() {
+			// Every admitted Submit holds an inflight token until it
+			// has its response; the workers are still running, so
+			// waiting here is the drain.
+			b.inflight.Wait()
+			close(b.submit)
+			b.workers.Wait()
+			close(b.drained)
+		}()
 	}
-	b.closed = true
 	b.mu.Unlock()
-	// Every admitted Submit holds an inflight token until it has its
-	// response; the workers are still running, so waiting here is the
-	// drain.
-	b.inflight.Wait()
-	close(b.submit)
-	b.workers.Wait()
+	select {
+	case <-b.drained:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("serve: drain stopped with %d requests in flight: %w", b.nflight.Load(), ctx.Err())
+	}
 }
+
+// Close is Drain without a time limit, so it returns only once the drain
+// is complete. Idempotent.
+func (b *Batcher) Close() { b.Drain(context.Background()) }
 
 // worker answers batches with one Decider: block for the oldest queued
 // request, take whatever else is queued up to MaxBatch without waiting,

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -292,6 +293,53 @@ func TestCloseDrains(t *testing.T) {
 		t.Errorf("post-Close submit: %v, want ErrClosed", err)
 	}
 	b.Close()
+}
+
+// TestDrainDeadline: a Decider that never returns must not hold Drain
+// past its context, and Close must still finish once the Decider does.
+func TestDrainDeadline(t *testing.T) {
+	g := newGate(1)
+	b := NewBatcher(BatcherConfig{MaxBatch: 4}, func() Decider { return gatedDecider{&echoDecider{}, g} })
+	defer g.open()
+
+	answered := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), mark(1))
+		answered <- err
+	}()
+	waitEntered(t, g.entered)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := b.Drain(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with a held replica returned %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Drain took %v past a 50ms deadline", d)
+	}
+	if !strings.Contains(err.Error(), "1 requests in flight") {
+		t.Errorf("Drain error %q does not count the one request in flight", err)
+	}
+	if _, err := b.Submit(context.Background(), mark(2)); !errors.Is(err, ErrClosed) {
+		t.Errorf("submit during the drain: %v, want ErrClosed", err)
+	}
+
+	g.open()
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return within 5s of the replica finishing")
+	}
+	if err := <-answered; err != nil {
+		t.Errorf("the held request got %v, want its decision", err)
+	}
 }
 
 // TestSubmitContextCancel: a caller's deadline frees it even while its

@@ -316,10 +316,31 @@ func MatMulAddBiasDotInto(dst, a, bt, bias *Matrix) {
 			o[3] = s3 + bp[3]
 		}
 	}
+	// The remaining columns (the one-wide branch outputs, the three-wide
+	// heads) walk four rows at a time, so four independent accumulators
+	// replace one dependent add chain per row.
 	for ; j < c; j++ {
 		c0 := bt.Row(j)[:k]
 		bv := bd[j]
-		for i := 0; i < rows; i++ {
+		i := 0
+		for ; i+4 <= rows; i += 4 {
+			a0 := a.Row(i)[:k]
+			a1 := a.Row(i + 1)[:k]
+			a2 := a.Row(i + 2)[:k]
+			a3 := a.Row(i + 3)[:k]
+			var s0, s1, s2, s3 float64
+			for kk, w := range c0 {
+				s0 += a0[kk] * w
+				s1 += a1[kk] * w
+				s2 += a2[kk] * w
+				s3 += a3[kk] * w
+			}
+			dst.Row(i)[j] = s0 + bv
+			dst.Row(i + 1)[j] = s1 + bv
+			dst.Row(i + 2)[j] = s2 + bv
+			dst.Row(i + 3)[j] = s3 + bv
+		}
+		for ; i < rows; i++ {
 			arow := a.Row(i)[:k]
 			var s float64
 			for kk, av := range arow {

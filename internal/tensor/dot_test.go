@@ -19,7 +19,8 @@ func garbage(rows, cols int) *Matrix {
 // TestDotBitIdentity is the contract test for the dot-kernel family every
 // layer forward and backward runs: each kernel must match its MatMulInto
 // reference bit-for-bit across random shapes (crossing the 6- and 4-wide
-// column-block boundaries), with dst pre-filled with garbage, and row e of
+// column-block boundaries and the four-row blocks of the narrow-column
+// tail), with dst pre-filled with garbage, and row e of
 // a B-row product must equal the one-row product of row e. Every tenth
 // trial has K = 192, the 4H inner width of the Record-shape LSTM's
 // dz·Wxᵀ and dz·Whᵀ backward products.
@@ -174,6 +175,16 @@ func TestDotNaNPropagation(t *testing.T) {
 		run(got)
 		if !math.IsNaN(got.At(0, 0)) {
 			t.Errorf("%s skipped the 0·NaN product: got %v", name, got.At(0, 0))
+		}
+	}
+	// MatMulAddBiasDotInto's narrow columns walk four rows at a time:
+	// every row of the block forms the product too.
+	a4 := FromSlice(4, 2, []float64{0, 1, 0, 1, 0, 1, 0, 1})
+	got := New(4, 1)
+	MatMulAddBiasDotInto(got, a4, bT, bias)
+	for i := 0; i < 4; i++ {
+		if !math.IsNaN(got.At(i, 0)) {
+			t.Errorf("MatMulAddBiasDotInto row %d of a four-row block skipped the 0·NaN product: got %v", i, got.At(i, 0))
 		}
 	}
 }
