@@ -12,6 +12,7 @@ package ngsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"head/internal/phantom"
@@ -45,7 +46,9 @@ type Dataset struct{ Samples []*Sample }
 func (d *Dataset) Len() int { return len(d.Samples) }
 
 // Split partitions the dataset into train and test sets with the given
-// train ratio (the paper uses 4:1, i.e. ratio 0.8), preserving order.
+// train ratio (the paper uses 4:1, i.e. ratio 0.8), preserving order. Each
+// half has its own backing array, so a caller that keeps one half keeps
+// only that half's samples alive.
 func (d *Dataset) Split(trainRatio float64) (train, test *Dataset) {
 	n := int(float64(len(d.Samples)) * trainRatio)
 	if n < 0 {
@@ -54,7 +57,7 @@ func (d *Dataset) Split(trainRatio float64) (train, test *Dataset) {
 	if n > len(d.Samples) {
 		n = len(d.Samples)
 	}
-	return &Dataset{Samples: d.Samples[:n]}, &Dataset{Samples: d.Samples[n:]}
+	return &Dataset{Samples: slices.Clone(d.Samples[:n])}, &Dataset{Samples: slices.Clone(d.Samples[n:])}
 }
 
 // Shuffle permutes the samples using rng.

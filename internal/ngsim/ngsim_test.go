@@ -111,6 +111,13 @@ func TestSplit(t *testing.T) {
 	if train.Len() == 0 || test.Len() == 0 {
 		t.Errorf("degenerate split: %d/%d", train.Len(), test.Len())
 	}
+	// Each half has its own backing array: appending to the train half
+	// must not write over the first test sample.
+	first := test.Samples[0]
+	train.Samples = append(train.Samples, &Sample{})
+	if test.Samples[0] != first {
+		t.Error("appending to the train half changed the test half")
+	}
 	// Extremes clamp safely.
 	tr, te := ds.Split(2.0)
 	if tr.Len() != ds.Len() || te.Len() != 0 {

@@ -57,9 +57,9 @@ func NewGAT(name string, in, attnDim, out int, rng *rand.Rand) *GAT {
 		Phi2:    NewParam(name+".phi2", 1, 2*attnDim),
 		Phi3:    NewParam(name+".phi3", in, out),
 	}
-	xavier(g.Phi1, rng, in, attnDim)
-	xavier(g.Phi2, rng, 2*attnDim, 1)
-	xavier(g.Phi3, rng, in, out)
+	g.Phi1.W.XavierInit(rng, in, attnDim)
+	g.Phi2.W.XavierInit(rng, 2*attnDim, 1)
+	g.Phi3.W.XavierInit(rng, in, out)
 	g.params = []*Param{g.Phi1, g.Phi2, g.Phi3}
 	return g
 }
@@ -103,8 +103,8 @@ func (g *GAT) Forward(nodes *tensor.Matrix, targets []int, neighbors [][]int) *t
 	g.ws.Reset()
 	g.u = g.ws.Get(nodes.Rows, g.AttnDim)
 	g.w = g.ws.Get(nodes.Rows, g.Out)
-	tensor.MatMulDotInto(g.u, nodes, g.Phi1.H().T())
-	tensor.MatMulDotInto(g.w, nodes, g.Phi3.H().T())
+	tensor.MatMulBlockInto(g.u, nodes, g.Phi1.W)
+	tensor.MatMulBlockInto(g.w, nodes, g.Phi3.W)
 	D := g.AttnDim
 	phi2a := g.Phi2.W.Data[:D]
 	phi2b := g.Phi2.W.Data[D:]
@@ -235,12 +235,12 @@ func (g *GAT) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	// u = nodes·Phi1 ⇒ dPhi1 += nodesᵀ·du, dNodes += du·Phi1ᵀ. The node
 	// gradient products are materialized in scratch and added once each,
 	// so every element receives one complete sum per product.
-	tensor.AddMatMulTransADotInto(g.Phi1.Grad, g.nodes, du)
+	tensor.AddMatMulTransABlockInto(g.Phi1.Grad, g.nodes, du)
 	dn1 := g.ws.Get(N, g.In)
 	tensor.MatMulDotInto(dn1, du, g.Phi1.W)
 	tensor.AddInPlace(dNodes, dn1)
 	// w = nodes·Phi3 ⇒ dPhi3 += nodesᵀ·dw, dNodes += dw·Phi3ᵀ
-	tensor.AddMatMulTransADotInto(g.Phi3.Grad, g.nodes, dw)
+	tensor.AddMatMulTransABlockInto(g.Phi3.Grad, g.nodes, dw)
 	dn3 := g.ws.Get(N, g.In)
 	tensor.MatMulDotInto(dn3, dw, g.Phi3.W)
 	tensor.AddInPlace(dNodes, dn3)

@@ -50,7 +50,7 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 		Weight: NewParam(name+".W", in, out),
 		Bias:   NewParam(name+".b", 1, out),
 	}
-	xavier(l.Weight, rng, in, out)
+	l.Weight.W.XavierInit(rng, in, out)
 	l.params = []*Param{l.Weight, l.Bias}
 	return l
 }
@@ -66,7 +66,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.lastX = x
 	l.ws.Reset()
 	y := l.ws.Get(x.Rows, l.Out)
-	tensor.MatMulAddBiasDotInto(y, x, l.Weight.H().T(), l.Bias.W)
+	tensor.MatMulAddBiasBlockInto(y, x, l.Weight.W, l.Bias.W)
 	return y
 }
 
@@ -75,13 +75,13 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	// dW += xᵀ·dy one sample at a time, db += column sums of dy row by
 	// row, dx = dy·Wᵀ.
 	if n := l.SampleRows; n <= 0 || n == dy.Rows {
-		tensor.AddMatMulTransADotInto(l.Weight.Grad, l.lastX, dy)
+		tensor.AddMatMulTransABlockInto(l.Weight.Grad, l.lastX, dy)
 	} else {
 		if dy.Rows%n != 0 {
 			panic(fmt.Sprintf("nn: Linear backward over %d rows, not a whole number of %d-row samples", dy.Rows, n))
 		}
 		for lo := 0; lo < dy.Rows; lo += n {
-			tensor.AddMatMulTransADotInto(l.Weight.Grad, rowsOf(&l.xv, l.lastX, lo, n), rowsOf(&l.dv, dy, lo, n))
+			tensor.AddMatMulTransABlockInto(l.Weight.Grad, rowsOf(&l.xv, l.lastX, lo, n), rowsOf(&l.dv, dy, lo, n))
 		}
 	}
 	for i := 0; i < dy.Rows; i++ {

@@ -39,12 +39,11 @@ func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
 		Wh:     NewParam(name+".Wh", hidden, 4*hidden),
 		B:      NewParam(name+".b", 1, 4*hidden),
 	}
-	xavier(l.Wx, rng, in, hidden)
-	xavier(l.Wh, rng, hidden, hidden)
+	l.Wx.W.XavierInit(rng, in, hidden)
+	l.Wh.W.XavierInit(rng, hidden, hidden)
 	for j := hidden; j < 2*hidden; j++ {
 		l.B.W.Data[j] = 1 // forget gate bias
 	}
-	l.B.Touch()
 	l.params = []*Param{l.Wx, l.Wh, l.B}
 	return l
 }
@@ -88,9 +87,9 @@ func (l *LSTM) Forward(seq []*tensor.Matrix) []*tensor.Matrix {
 	cPrev := l.ws.GetZero(batch, H)
 	for t, x := range seq {
 		z := l.ws.Get(batch, 4*H)
-		// The fused pre-activation (Σx·Wx) + (Σh·Wh) + b runs on the
-		// dual dot kernel against the Weights handles' cached transposes.
-		tensor.MatMulDualAddBiasDotInto(z, x, l.Wx.H().T(), hPrev, l.Wh.H().T(), l.B.W)
+		// The fused pre-activation (Σx·Wx + Σh·Wh) + b runs on the block
+		// kernel against the canonical weights.
+		tensor.MatMulDualAddBiasBlockInto(z, x, l.Wx.W, hPrev, l.Wh.W, l.B.W)
 		c := l.ws.Get(batch, H)
 		tc := l.ws.Get(batch, H)
 		h := l.ws.Get(batch, H)
@@ -178,8 +177,8 @@ func (l *LSTM) Backward(dHidden []*tensor.Matrix) []*tensor.Matrix {
 				dzo[j] = do * ov * (1 - ov)
 			}
 		}
-		tensor.AddMatMulTransADotInto(l.Wx.Grad, l.xs[t], dz)
-		tensor.AddMatMulTransADotInto(l.Wh.Grad, hPrev, dz)
+		tensor.AddMatMulTransABlockInto(l.Wx.Grad, l.xs[t], dz)
+		tensor.AddMatMulTransABlockInto(l.Wh.Grad, hPrev, dz)
 		for r := 0; r < batch; r++ {
 			row := dz.Row(r)
 			for j, gv := range row {

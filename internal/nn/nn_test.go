@@ -10,9 +10,7 @@ import (
 
 // checkGrads computes the numerical gradient of loss() with respect to
 // every parameter of m via central differences and compares it against the
-// analytic gradient already accumulated in the params. Each write to W is
-// followed by a Touch, as the Param contract requires, so forwards reading
-// cached weight views see the perturbed value.
+// analytic gradient already accumulated in the params.
 func checkGrads(t *testing.T, m Module, loss func() float64, tol float64) {
 	t.Helper()
 	const eps = 1e-6
@@ -20,13 +18,10 @@ func checkGrads(t *testing.T, m Module, loss func() float64, tol float64) {
 		for i := range p.W.Data {
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
-			p.Touch()
 			lp := loss()
 			p.W.Data[i] = orig - eps
-			p.Touch()
 			lm := loss()
 			p.W.Data[i] = orig
-			p.Touch()
 			num := (lp - lm) / (2 * eps)
 			ana := p.Grad.Data[i]
 			if math.Abs(num-ana) > tol*(1+math.Abs(num)) {
@@ -41,8 +36,6 @@ func TestLinearForward(t *testing.T) {
 	l := NewLinear("l", 2, 2, rng)
 	copy(l.Weight.W.Data, []float64{1, 2, 3, 4})
 	copy(l.Bias.W.Data, []float64{10, 20})
-	l.Weight.Touch()
-	l.Bias.Touch()
 	y := l.Forward(tensor.FromSlice(1, 2, []float64{1, 1}))
 	want := tensor.FromSlice(1, 2, []float64{14, 26})
 	if !tensor.Equal(y, want, 1e-12) {
@@ -391,7 +384,6 @@ func TestGATForwardConvexCombination(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.Phi3.W.Set(i, i, 1)
 	}
-	g.Phi3.Touch()
 	nodes := tensor.New(3, 4)
 	nodes.RandUniform(rng, 1)
 	out := g.Forward(nodes, []int{0}, [][]int{{0, 1, 2}})

@@ -43,7 +43,6 @@ func (o *SGD) Step(m Module) {
 				p.W.Data[i] -= o.LR * p.Grad.Data[i]
 			}
 		}
-		p.Touch()
 		p.ZeroGrad()
 	}
 }
@@ -89,7 +88,6 @@ func (o *Adam) Step(mod Module) {
 			vHat := v.Data[i] / bc2
 			p.W.Data[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
 		}
-		p.Touch()
 		p.ZeroGrad()
 	}
 }

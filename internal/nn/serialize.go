@@ -66,7 +66,6 @@ func Load(r io.Reader, m Module) error {
 	}
 	for i, p := range params {
 		copy(p.W.Data, blobs[i].Data)
-		p.Touch()
 	}
 	return nil
 }

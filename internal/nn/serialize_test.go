@@ -108,10 +108,11 @@ func TestLoadAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestMirrorFreshness pins the Touch discipline end to end: forwards read
-// the cached weight transpose, so an optimizer step, SoftUpdate and Load
-// must invalidate it. A stale transpose would make the post-mutation
-// forward reproduce the pre-mutation output.
+// TestMirrorFreshness pins that every weight mutation reaches the next
+// forward: an optimizer step, SoftUpdate and Load each write the canonical
+// weights the forward kernels read, with no derived copy in between, so
+// the next forward must equal a fresh module's holding the same weights
+// and differ from the pre-mutation output.
 func TestMirrorFreshness(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	x := tensor.New(4, 10)
@@ -120,7 +121,7 @@ func TestMirrorFreshness(t *testing.T) {
 	before := l.Forward(x).Clone()
 
 	// One gradient step moves the weights; the next forward must see the
-	// new values through the cached transpose.
+	// new values.
 	dy := tensor.New(4, 6)
 	dy.Fill(0.1)
 	l.Backward(dy)
@@ -131,23 +132,23 @@ func TestMirrorFreshness(t *testing.T) {
 	want := fresh.Forward(x)
 	got := l.Forward(x)
 	if !tensor.Equal(got, want, 0) {
-		t.Fatal("forward after optimizer step served a stale transpose")
+		t.Fatal("forward after optimizer step served stale weights")
 	}
 	if tensor.Equal(got, before, 0) {
 		t.Fatal("optimizer step did not change the forward at all")
 	}
 
-	// SoftUpdate must also refresh the destination's transpose.
+	// SoftUpdate must also reach the destination's next forward.
 	other := NewLinear("lin", 10, 6, rand.New(rand.NewSource(6)))
-	_ = other.Forward(x) // warm the transpose cache
+	_ = other.Forward(x)
 	SoftUpdate(other, l, 0.5)
 	check := NewLinear("lin", 10, 6, rand.New(rand.NewSource(7)))
 	CopyParams(check, other)
 	if !tensor.Equal(other.Forward(x), check.Forward(x), 0) {
-		t.Fatal("forward after SoftUpdate served a stale transpose")
+		t.Fatal("forward after SoftUpdate served stale weights")
 	}
 
-	// So must Load: warm the cache, load different weights, and the next
+	// So must Load: run a forward, load different weights, and the next
 	// forward must equal the saved module's.
 	src := NewLinear("lin", 10, 6, rand.New(rand.NewSource(8)))
 	var buf bytes.Buffer
@@ -161,7 +162,7 @@ func TestMirrorFreshness(t *testing.T) {
 	}
 	loaded := dst.Forward(x)
 	if !tensor.Equal(loaded, src.Forward(x), 0) {
-		t.Fatal("forward after Load served a stale transpose")
+		t.Fatal("forward after Load served stale weights")
 	}
 	if tensor.Equal(loaded, warm, 0) {
 		t.Fatal("Load did not change the forward at all")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"head/internal/ngsim"
@@ -182,6 +183,34 @@ func TestLSTGATParallelConsistency(t *testing.T) {
 	b := m.Predict(g)
 	if a != b {
 		t.Error("repeated Predict differs")
+	}
+}
+
+// TestTrainWorkerCountBitIdentity gates the data-parallel reduction: each
+// chunk adds its replica's gradients into the master in chunk order, so
+// Workers 1, 2, 3 and 8 must leave bit-identical LST-GAT weights. Batch
+// size 20 cuts each batch into chunks of 8, 8 and 4, so with 2 or 3
+// workers a later chunk can finish before an earlier one and must wait
+// its turn. Run under -race, this also checks the hand-off.
+func TestTrainWorkerCountBitIdentity(t *testing.T) {
+	var want []float64
+	for _, w := range []int{1, 2, 3, 8} {
+		m := tinyLSTGAT(17)
+		ds := &ngsim.Dataset{Samples: slices.Clone(smallDS.Samples)}
+		Train(m, ds, TrainConfig{Epochs: 2, BatchSize: 20, Workers: w}, rand.New(rand.NewSource(18)))
+		var got []float64
+		for _, p := range m.Params() {
+			got = append(got, p.W.Data...)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i, v := range got {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("Workers %d: weight %d is %v, Workers 1 gives %v", w, i, v, want[i])
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"head/internal/ngsim"
@@ -133,9 +134,9 @@ func Train(model Model, ds *ngsim.Dataset, cfg TrainConfig, rng *rand.Rand) Trai
 }
 
 // trainParallel is the data-parallel trainer: each batch's chunks are
-// fanned out to worker-owned replicas, the chunk gradients are reduced
-// into the master model in chunk order, and one optimizer step is applied
-// on the master before the replicas resynchronize.
+// fanned out to worker-owned replicas, each chunk adds its replica's
+// gradients into the master model in chunk order, and one optimizer step
+// is applied on the master before the replicas resynchronize.
 func trainParallel(model DataParallel, ds *ngsim.Dataset, cfg TrainConfig, rng *rand.Rand) TrainResult {
 	start := time.Now()
 	workers := parallel.Workers(cfg.Workers)
@@ -149,11 +150,18 @@ func trainParallel(model DataParallel, ds *ngsim.Dataset, cfg TrainConfig, rng *
 	for i := 0; i < workers; i++ {
 		pool <- model.Replica()
 	}
-	// Chunk c of every batch writes its loss and gradient snapshot into
-	// slot c, so the buffers are allocated once per Train call.
+	// Chunk c of every batch writes its loss into slot c, so the buffer is
+	// allocated once per Train call.
 	maxChunks := (cfg.BatchSize + GradChunk - 1) / GradChunk
 	losses := make([]float64, maxChunks)
-	grads := make([][][]float64, maxChunks)
+	// The reduction: chunk c adds its gradients into the master after
+	// chunk c−1 has (next counts the chunks added), so the master holds
+	// the same chunk-ordered sum for any worker count.
+	var (
+		mu   sync.Mutex
+		turn = sync.NewCond(&mu)
+		next int
+	)
 	var res TrainResult
 	prev := math.Inf(1)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -169,6 +177,8 @@ func trainParallel(model DataParallel, ds *ngsim.Dataset, cfg TrainConfig, rng *
 			chunks := (len(batch) + GradChunk - 1) / GradChunk
 			mb := cfg.Trace.Start("minibatch_update")
 			gf := cfg.Trace.Start("grad_fanout")
+			nn.ZeroGrads(model)
+			next = 0
 			// The chunk function never fails and the context never ends,
 			// so ForEach cannot return an error.
 			_ = parallel.ForEach(context.Background(), chunks, workers, func(c int) error {
@@ -183,15 +193,22 @@ func trainParallel(model DataParallel, ds *ngsim.Dataset, cfg TrainConfig, rng *
 					defer cfg.Metrics.Timer("predict.grad_chunk")()
 				}
 				losses[c] = r.GradBatch(batch[lo:hi])
-				grads[c] = nn.GradientsInto(grads[c], r)
+				// ForEach hands out chunk c−1 before chunk c, and its
+				// worker adds it before taking another, so this wait ends.
+				mu.Lock()
+				for next != c {
+					turn.Wait()
+				}
+				addGrads(model, r)
+				next++
+				turn.Broadcast()
+				mu.Unlock()
 				return nil
 			})
 			gf.End()
-			nn.ZeroGrads(model)
 			batchLoss := 0.0
 			for c := 0; c < chunks; c++ {
 				batchLoss += losses[c]
-				nn.AddGradients(model, grads[c])
 			}
 			model.ApplyGrads()
 			total += batchLoss / float64(len(batch))
@@ -218,6 +235,18 @@ func trainParallel(model DataParallel, ds *ngsim.Dataset, cfg TrainConfig, rng *
 	}
 	res.TCT = time.Since(start)
 	return res
+}
+
+// addGrads adds src's accumulated gradients into dst's, parameter by
+// parameter; the two modules have identical shapes.
+func addGrads(dst, src nn.Module) {
+	dp := dst.Params()
+	for i, p := range src.Params() {
+		d := dp[i].Grad.Data
+		for j, v := range p.Grad.Data {
+			d[j] += v
+		}
+	}
 }
 
 // AvgInferenceTime measures the mean wall-clock time of one full Predict

@@ -45,8 +45,8 @@ func (o *OUNoise) Reset() {
 type PrioritizedReplay struct {
 	capacity int
 	alpha    float64
-	tree     []float64 // binary sum tree over 2*capacity-1 nodes
-	data     []Transition
+	tree     []float64    // binary sum tree over 2*capacity-1 nodes
+	data     []Transition // grows as the ring fills, up to capacity
 	size     int
 	next     int
 	maxPrio  float64
@@ -62,7 +62,6 @@ func NewPrioritizedReplay(capacity int, alpha float64) *PrioritizedReplay {
 		capacity: capacity,
 		alpha:    alpha,
 		tree:     make([]float64, 2*capacity-1),
-		data:     make([]Transition, capacity),
 		maxPrio:  1,
 	}
 }
@@ -75,6 +74,9 @@ func (p *PrioritizedReplay) Len() int { return p.size }
 // arrival). Callers may reuse tr's backing slices immediately.
 func (p *PrioritizedReplay) Push(tr Transition) {
 	idx := p.next
+	if idx == len(p.data) {
+		p.data = append(p.data, Transition{})
+	}
 	copyTransition(&p.data[idx], tr)
 	p.setPriority(idx, p.maxPrio)
 	p.next = (p.next + 1) % p.capacity

@@ -116,11 +116,13 @@ type Agent interface {
 }
 
 // Replay is a fixed-capacity ring buffer of transitions with uniform
-// sampling, the replay buffer B of Equation (22).
+// sampling, the replay buffer B of Equation (22). The ring grows as it
+// fills, so a run that stores fewer transitions than the capacity holds
+// only what it stored.
 type Replay struct {
-	buf  []Transition
-	next int
-	full bool
+	buf      []Transition
+	capacity int
+	next     int // oldest slot, overwritten next once the ring is full
 }
 
 // NewReplay returns a replay buffer holding up to capacity transitions.
@@ -128,38 +130,31 @@ func NewReplay(capacity int) *Replay {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("rl: replay capacity must be positive, got %d", capacity))
 	}
-	return &Replay{buf: make([]Transition, 0, capacity)}
+	return &Replay{capacity: capacity}
 }
 
 // Len returns the number of stored transitions.
-func (r *Replay) Len() int {
-	if r.full {
-		return cap(r.buf)
-	}
-	return len(r.buf)
-}
+func (r *Replay) Len() int { return len(r.buf) }
 
 // Push deep-copies a transition into the ring, evicting the oldest when
 // full. The copy means callers may reuse tr's backing slices immediately;
 // a warmed-up ring reuses each slot's slice storage and stops allocating.
 func (r *Replay) Push(tr Transition) {
-	if r.full {
-		copyTransition(&r.buf[r.next], tr)
-		r.next = (r.next + 1) % cap(r.buf)
+	if len(r.buf) < r.capacity {
+		r.buf = append(r.buf, Transition{})
+		copyTransition(&r.buf[len(r.buf)-1], tr)
 		return
 	}
-	r.buf = append(r.buf, Transition{})
-	copyTransition(&r.buf[len(r.buf)-1], tr)
-	if len(r.buf) == cap(r.buf) {
-		r.full = true
-		r.next = 0
-	}
+	copyTransition(&r.buf[r.next], tr)
+	r.next = (r.next + 1) % r.capacity
 }
 
 // Sample returns n uniformly drawn transitions (with replacement). The
-// returned transitions alias ring-slot storage: they are valid until the
-// next Push, which is safe for the train-step pattern of sampling a batch
-// and consuming it fully before observing more transitions.
+// returned transitions are copies of the ring's headers whose slices alias
+// ring-slot storage: they are valid until the next Push, which is safe for
+// the train-step pattern of sampling a batch and consuming it fully before
+// observing more transitions. A Push that grows the ring moves only the
+// headers, so it leaves them valid too.
 func (r *Replay) Sample(n int, rng *rand.Rand) []Transition {
 	return r.SampleInto(nil, n, rng)
 }

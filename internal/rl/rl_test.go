@@ -105,6 +105,43 @@ func TestReplayRingBuffer(t *testing.T) {
 	}
 }
 
+// TestReplayGrowsAcrossFillBoundary pins that both rings, which grow as
+// they fill, keep the fixed-size ring's behavior at capacity 3: Len counts
+// up to the capacity and stays there, slot s holds the newest push whose
+// index is s mod 3, and a transition sampled before a Push that grows the
+// ring still reads its own values afterwards.
+func TestReplayGrowsAcrossFillBoundary(t *testing.T) {
+	r := NewReplay(3)
+	p := NewPrioritizedReplay(3, 0.6)
+	var held []Transition
+	for i := 0; i < 8; i++ {
+		tr := Transition{State: []float64{float64(i)}, Reward: float64(i)}
+		r.Push(tr)
+		p.Push(tr)
+		for _, h := range held {
+			if h.State[0] != h.Reward || h.Reward >= float64(i) {
+				t.Fatalf("push %d grew the ring, and a transition sampled before it reads state %v, reward %g", i, h.State, h.Reward)
+			}
+		}
+		held = nil
+		want := min(i+1, 3)
+		if r.Len() != want || p.Len() != want {
+			t.Fatalf("after push %d: Len = %d (replay), %d (prioritized), want %d", i, r.Len(), p.Len(), want)
+		}
+		for s := 0; s < want; s++ {
+			newest := s + 3*((i-s)/3)
+			got := r.GatherInto(nil, []int{s})[0]
+			if got.Reward != float64(newest) || p.data[s].Reward != float64(newest) {
+				t.Fatalf("after push %d: slot %d holds %g (replay), %g (prioritized), want %d",
+					i, s, got.Reward, p.data[s].Reward, newest)
+			}
+		}
+		if i < 2 {
+			held = r.Sample(4, rand.New(rand.NewSource(int64(i))))
+		}
+	}
+}
+
 func TestReplayPanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {

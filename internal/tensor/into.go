@@ -10,8 +10,8 @@ import (
 // matrix whose shape must already match — shape mismatches panic, they are
 // never resized — and is bit-identical to its allocating counterpart: loop
 // and summation order are the same, so reusing buffers can never change a
-// float. The products the layers run live in dot.go; MatMulInto and
-// MatMulAddBiasInto here are their references.
+// float. The products the layers run live in kernel.go and dot.go;
+// MatMulInto and MatMulAddBiasInto here are their references.
 //
 // # Aliasing contract
 //
@@ -20,8 +20,8 @@ import (
 // element (i) strictly before writing element (i), so dst may fully alias
 // any input (dst == a, dst == b, or both).
 //
-// Product and layout kernels (MatMulInto, MatMulAddBiasInto, the dot.go
-// family, TransposeInto, ConcatColsInto, SliceColsInto) read inputs while
+// Product and layout kernels (MatMulInto, MatMulAddBiasInto, the products
+// in kernel.go and dot.go, ConcatColsInto, SliceColsInto) read inputs while
 // writing dst, so dst must not alias an input. Full aliasing (shared first
 // element) panics; partial overlap of distinct allocations is undetectable
 // and undefined.
@@ -30,9 +30,10 @@ import (
 //
 // Mirror an existing allocating op exactly — same traversal, same
 // per-element accumulation order — and add a case to the bit-identity
-// property test (into_test.go here, dot_test.go for a product) before
-// using it anywhere. A new product belongs in the dot.go family: register
-// accumulators, blocked over dst columns, never over k.
+// property test (into_test.go here, kernel_test.go or dot_test.go for a
+// product) before using it anywhere. A new product belongs on the block
+// kernel (kernel.go): register accumulators, blocked over dst columns,
+// never over k.
 
 // checkShape panics unless m has exactly the given shape.
 func checkShape(op string, m *Matrix, rows, cols int) {
@@ -174,18 +175,6 @@ func MatMulAddBiasInto(dst, a, b, bias *Matrix) {
 		row := dst.Row(i)
 		for j, bv := range bias.Data {
 			row[j] += bv
-		}
-	}
-}
-
-// TransposeInto writes aᵀ into dst (dst is a.Cols×a.Rows). dst must not
-// alias a.
-func TransposeInto(dst, a *Matrix) {
-	checkShape("TransposeInto", dst, a.Cols, a.Rows)
-	noAlias("TransposeInto", dst, a)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			dst.Set(j, i, a.At(i, j))
 		}
 	}
 }
